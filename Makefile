@@ -6,7 +6,7 @@ PYTHON ?= python
 # editable install by putting src/ on PYTHONPATH.
 RUN_ENV = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: install test lint xmodlint check bench profile chaos crashtest shardtest storetest faultsweep metrics report examples clean
+.PHONY: install test lint xmodlint check bench profile chaos crashtest storetest faultsweep metrics report examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -53,22 +53,14 @@ chaos:
 crashtest:
 	$(RUN_ENV) $(PYTHON) -m pytest tests/test_checkpoint_resume.py -v
 
-# Sharded-execution harness: supervisor/merge/plan unit+property tests plus
-# the end-to-end CLI acceptance — --jobs 4 byte-identical to --jobs 1 (plain
-# and --chaos), a SIGKILLed worker's shard resuming from its own WAL, and
-# the degraded/unrecoverable exit codes.
-shardtest:
-	$(RUN_ENV) $(PYTHON) -m pytest tests/shard/ -v
-	$(RUN_ENV) $(PYTHON) -m pytest tests/test_checkpoint_resume.py -k Sharded -v
-
 # Store harness: the SQLite dataset backend — byte-identical export vs the
-# legacy JSONL path (plain, --chaos, --jobs 4), SQL queries pinned equal to
-# the in-memory analyses, and the WAL-replay/shard-merge ingest paths.
+# legacy JSONL path (plain and --chaos), SQL queries pinned equal to the
+# in-memory analyses, and the WAL-replay ingest path.
 storetest:
 	$(RUN_ENV) $(PYTHON) -m pytest tests/store/ -v
 
 # Storage-fault sweep: every failpoint in the repro.failpoints catalog is
-# injected mid-run (SIGKILL, torn write, ENOSPC/EIO, hang, poison) and the
+# injected mid-run (SIGKILL, torn write, ENOSPC/EIO) and the
 # recovery path driven to one of exactly two outcomes — a byte-identical
 # resumed dataset, or a named refusal with a documented exit code.  A
 # completeness test pins the scenario table to the registry, so a new

@@ -16,11 +16,7 @@ Five passes over ``HoneypotExperiment.paper_scale().run()``:
    durability on (WAL journal fsyncs + phase snapshots), so the snapshot
    records exactly what crash-safety costs on top of a clean run
    (``checkpoint``: wall-time delta, snapshot bytes, fsync count),
-5. sharded runs at ``--jobs 1/2/4`` (:mod:`repro.shard`), recording the
-   per-jobs wall time, the order-canonicalized merge cost, and the
-   jobs-4 speedup under ``sharded`` — note the speedup is bounded by the
-   machine's core count (a single-core CI box honestly reports ~1.0),
-6. a store pass (:mod:`repro.store`): the plain run's dataset ingested
+5. a store pass (:mod:`repro.store`): the plain run's dataset ingested
    into the SQLite store (batched-transaction throughput in rows/s), the
    overlap/temporal/summary analyses run as SQL queries with the
    in-memory analyses timed alongside, and the export byte-identity
@@ -44,16 +40,14 @@ committed so every PR leaves a perf trajectory:
 * ``chaos`` — chaos-run wall time, retry overhead, and fault counters,
 * ``checkpoint`` — checkpointed-run wall time, overhead vs plain, journal
   fsync count, and snapshot bytes,
-* ``sharded`` — per-``--jobs`` wall times, shard count, merge seconds,
-  sharding overhead vs the plain run, and the jobs-4 speedup,
 * ``failpoints`` — the per-chokepoint cost of the *disabled* failpoint
   framework (nanoseconds per ``hit`` with nothing armed),
 * ``scale_build`` — scaled-world build wall time, entity counts, and peak
   RSS.
 
 ``BENCH_pipeline.json`` is a snapshot — each run overwrites it.  The
-headline numbers (plain wall, events/s, the sharded runs, and the scale
-build) are
+headline numbers (plain wall, events/s, the store and lint passes, and
+the scale build) are
 therefore *also appended* to ``BENCH_history.jsonl``, one JSON line per
 ``make profile`` run, so the perf trajectory stays diffable across PRs
 instead of living only in git archaeology.
@@ -84,7 +78,6 @@ from repro.lint.baseline import Baseline
 from repro.lint.runner import lint_paths
 from repro.obs import ObservabilityConfig, build_manifest, write_manifest
 from repro.osn.faults import FaultProfile
-from repro.shard import ShardSupervisor
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 OUTPUT_PATH = REPO_ROOT / "BENCH_pipeline.json"
@@ -275,38 +268,6 @@ def _run_store(experiment: HoneypotExperiment) -> dict:
     }
 
 
-def _run_sharded(baseline_wall: float) -> dict:
-    """The paper-scale study sharded at --jobs 1, 2, and 4.
-
-    Sharding trades redundant world builds (every worker re-builds the
-    identical organic world) for campaign-phase parallelism and fault
-    isolation, so ``jobs=1`` is *slower* than the single-process path —
-    the interesting numbers are how the wall time scales with workers
-    and what the order-canonicalized merge costs on top.
-    """
-    passes = {}
-    merge_seconds = 0.0
-    for jobs in (1, 2, 4):
-        supervisor = ShardSupervisor(StudyConfig(), jobs=jobs)
-        start = time.perf_counter()
-        result = supervisor.run()
-        wall = time.perf_counter() - start
-        merge_seconds = result.execution_section["merge_seconds"]
-        passes[f"jobs_{jobs}"] = round(wall, 2)
-        print(f"  jobs={jobs}: {wall:.2f}s "
-              f"({len(result.plan)} shards, merge {merge_seconds:.2f}s)",
-              flush=True)
-    return {
-        **passes,
-        "shards": len(StudyConfig().specs),
-        "merge_seconds": merge_seconds,
-        "sharding_overhead_seconds": round(
-            passes["jobs_1"] - baseline_wall, 2
-        ),
-        "speedup_jobs_4": round(passes["jobs_1"] / passes["jobs_4"], 2),
-    }
-
-
 def _run_failpoints() -> dict:
     """Microbench the disabled failpoint framework (the always-on cost).
 
@@ -379,35 +340,32 @@ def _run_lint() -> dict:
 
 
 def main() -> int:
-    print("pass 1/7: plain timed run ...", flush=True)
+    print("pass 1/6: plain timed run ...", flush=True)
     wall, experiment = _run_once()
     like_events = len(experiment.artifacts.network.likes)
     print(f"  wall: {wall:.2f}s, {like_events} like events", flush=True)
 
-    print("pass 2/7: cProfile run ...", flush=True)
+    print("pass 2/6: cProfile run ...", flush=True)
     profiler = cProfile.Profile()
     profiler.enable()
     HoneypotExperiment.paper_scale().run()
     profiler.disable()
     stats = pstats.Stats(profiler)
 
-    print("pass 3/7: chaos run (default FaultProfile) ...", flush=True)
+    print("pass 3/6: chaos run (default FaultProfile) ...", flush=True)
     chaos = _run_chaos(wall)
     print(f"  wall: {chaos['wall_seconds']:.2f}s "
           f"({chaos['faults_injected']} faults, {chaos['retries']} retries)",
           flush=True)
 
-    print("pass 4/7: checkpointed run (journal + snapshots) ...", flush=True)
+    print("pass 4/6: checkpointed run (journal + snapshots) ...", flush=True)
     checkpoint = _run_checkpointed(wall)
     print(f"  wall: {checkpoint['wall_seconds']:.2f}s "
           f"(+{checkpoint['checkpoint_overhead_seconds']:.2f}s, "
           f"{checkpoint['journal_fsyncs']} fsyncs, "
           f"{checkpoint['snapshot_bytes']} snapshot bytes)", flush=True)
 
-    print("pass 5/7: sharded runs (--jobs 1/2/4) ...", flush=True)
-    sharded = _run_sharded(wall)
-
-    print("pass 6/7: store ingest + SQL queries ...", flush=True)
+    print("pass 5/6: store ingest + SQL queries ...", flush=True)
     store = _run_store(experiment)
     print(f"  ingest: {store['ingest_rows']} rows in "
           f"{store['ingest_seconds']:.3f}s "
@@ -430,7 +388,7 @@ def main() -> int:
     print(f"  {failpoint_bench['disabled_hit_ns']:.1f}ns per disabled hit "
           f"({failpoint_bench['registered']} registered)", flush=True)
 
-    print(f"pass 7/7: --scale {SCALE_BUILD_N:g} build (world only) ...",
+    print(f"pass 6/6: --scale {SCALE_BUILD_N:g} build (world only) ...",
           flush=True)
     scale_build = _run_scale_build(SCALE_BUILD_N)
     print(f"  build: {scale_build['build_seconds']:.2f}s, "
@@ -448,7 +406,6 @@ def main() -> int:
         "python": platform.python_version(),
         "chaos": chaos,
         "checkpoint": checkpoint,
-        "sharded": sharded,
         "store": store,
         "lint": lint,
         "failpoints": failpoint_bench,
@@ -467,13 +424,12 @@ def main() -> int:
                 "like_events_per_second": int(like_events / wall),
                 "python": platform.python_version(),
             },
-            {"benchmark": "sharded_run", **sharded},
             {"benchmark": "store", **store},
             {"benchmark": "lint", **lint},
             {"benchmark": "scale_build", **scale_build},
         ]
     )
-    print(f"wrote {OUTPUT_PATH}, appended 5 lines to {HISTORY_PATH.name}")
+    print(f"wrote {OUTPUT_PATH}, appended 4 lines to {HISTORY_PATH.name}")
     print(json.dumps({k: v for k, v in snapshot.items() if k != "top_functions"}, indent=2))
     return 0
 

@@ -139,7 +139,6 @@ class DatasetJournal:
         seed: int,
         config_hash: str,
         metrics: Optional[MetricsRegistry] = None,
-        shard_id: Optional[str] = None,
     ) -> "DatasetJournal":
         """Create a fresh journal, writing and fsyncing the header."""
         journal = cls(path, metrics=metrics)
@@ -150,8 +149,6 @@ class DatasetJournal:
             "seed": seed,
             "config_hash": config_hash,
         }
-        if shard_id is not None:
-            header["shard"] = shard_id
         journal._write_row(header)
         journal.records_written = 0  # the header is not a dataset record
         return journal
@@ -164,7 +161,6 @@ class DatasetJournal:
         seed: int,
         config_hash: str,
         metrics: Optional[MetricsRegistry] = None,
-        shard_id: Optional[str] = None,
     ) -> "DatasetJournal":
         """Reopen a salvaged journal for replay-verified continuation.
 
@@ -184,11 +180,6 @@ class DatasetJournal:
                     f"{recovery.header.get('config_hash')!r}, this run is "
                     f"{config_hash!r}; refusing to resume"
                 )
-            if recovery.header.get("shard") != shard_id:
-                raise CheckpointError(
-                    f"journal belongs to shard {recovery.header.get('shard')!r}, "
-                    f"this run is shard {shard_id!r}; refusing to resume"
-                )
             journal = cls(path, metrics=metrics)
             rows = [recovery.header] + recovery.records
             # Rewrite the salvaged prefix atomically (temp + fsync + rename)
@@ -205,7 +196,7 @@ class DatasetJournal:
             return journal
         # No salvageable header: the crashed run died before its first
         # fsync'd line landed, so this is a fresh start.
-        return cls.start(path, seed, config_hash, metrics=metrics, shard_id=shard_id)
+        return cls.start(path, seed, config_hash, metrics=metrics)
 
     # -- appends ------------------------------------------------------------------
 

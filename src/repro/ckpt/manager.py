@@ -67,17 +67,11 @@ class CheckpointConfig:
         When True, continue a crashed/killed run found in ``directory``
         (an empty directory degrades to a fresh start); when False, the
         directory must not already hold a checkpointed run.
-    shard_id:
-        When set, this checkpoint directory belongs to one shard of a
-        sharded run (``repro.shard``); the id is stamped into the journal
-        header and manifest so a shard can never resume from another
-        shard's directory.  ``None`` for unsharded runs.
     """
 
     directory: Path
     every_days: Optional[float] = None
     resume: bool = False
-    shard_id: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.every_days is not None:
@@ -97,14 +91,12 @@ class CheckpointManager:
         stored: Optional[Dict[str, Dict]] = None,
         entries: Optional[Dict[str, Dict]] = None,
         metrics: Optional[MetricsRegistry] = None,
-        shard_id: Optional[str] = None,
     ) -> None:
         self.directory = Path(directory)
         self.seed = seed
         self.config_hash = config_hash
         self.every_days = every_days
         self.journal = journal
-        self.shard_id = shard_id
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._stored = stored if stored is not None else {}
         self._entries = entries if entries is not None else {}
@@ -137,19 +129,16 @@ class CheckpointManager:
                 directory=str(directory),
                 removed=[path.name for path in swept],
             )
-        manifest = load_checkpoint_manifest(
-            directory, seed, config_hash, shard_id=config.shard_id
-        )
+        manifest = load_checkpoint_manifest(directory, seed, config_hash)
         if manifest is None:
             # Nothing on disk: fresh start (also the resume-after-a-kill-
             # before-the-first-checkpoint case).
             journal = DatasetJournal.start(
-                directory / JOURNAL_NAME, seed, config_hash, metrics=metrics,
-                shard_id=config.shard_id,
+                directory / JOURNAL_NAME, seed, config_hash, metrics=metrics
             )
             manager = cls(
                 directory, seed, config_hash, config.every_days, journal,
-                metrics=metrics, shard_id=config.shard_id,
+                metrics=metrics,
             )
             manager._write_manifest()
             return manager
@@ -164,7 +153,7 @@ class CheckpointManager:
         )
         journal = DatasetJournal.resume(
             directory / JOURNAL_NAME, recovery, seed, config_hash,
-            metrics=metrics, shard_id=config.shard_id,
+            metrics=metrics,
         )
         stored: Dict[str, Dict] = {}
         entries: Dict[str, Dict] = {}
@@ -209,7 +198,6 @@ class CheckpointManager:
         return cls(
             directory, seed, config_hash, manifest.get("every_days"),
             journal, stored=stored, entries=entries, metrics=metrics,
-            shard_id=config.shard_id,
         )
 
     # -- barriers -----------------------------------------------------------------
@@ -310,7 +298,6 @@ class CheckpointManager:
             self.config_hash,
             self.every_days,
             [self._entries[key] for key in sorted(self._entries)],
-            shard_id=self.shard_id,
         )
 
     # -- accounting ---------------------------------------------------------------

@@ -114,7 +114,6 @@ def write_checkpoint_manifest(
     config_hash: str,
     every_days: Optional[float],
     entries: List[Dict],
-    shard_id: Optional[str] = None,
 ) -> None:
     """Durably (re)write the checkpoint directory's index."""
     manifest = {
@@ -124,8 +123,6 @@ def write_checkpoint_manifest(
         "every_days": every_days,
         "snapshots": entries,
     }
-    if shard_id is not None:
-        manifest["shard"] = shard_id
     failpoints.hit("ckpt.manifest.write")
     try:
         atomic_write_json(
@@ -140,7 +137,7 @@ def write_checkpoint_manifest(
 
 
 def load_checkpoint_manifest(
-    directory: Path, seed: int, config_hash: str, shard_id: Optional[str] = None
+    directory: Path, seed: int, config_hash: str
 ) -> Optional[Dict]:
     """Load the directory's manifest, refusing on any identity mismatch.
 
@@ -170,11 +167,5 @@ def load_checkpoint_manifest(
             "checkpoint was written under config fingerprint "
             f"{manifest.get('config_hash')!r}, this run is {config_hash!r}; "
             "resume must use the original configuration"
-        )
-    if manifest.get("shard") != shard_id:
-        raise CheckpointError(
-            f"checkpoint belongs to shard {manifest.get('shard')!r}, this "
-            f"run is shard {shard_id!r}; a shard can only resume its own "
-            "checkpoint directory"
         )
     return manifest

@@ -16,11 +16,6 @@ byte-identical to the JSONL; ``query`` runs the overlap/temporal/summary
 analyses against such a store without materialising the dataset.  ``run --checkpoint-dir D`` makes the run
 crash-safe (WAL journal + phase snapshots); after a kill,
 ``run --resume D`` continues it to a byte-identical result.
-``run --jobs N`` runs the study as supervised per-campaign shards
-(:mod:`repro.shard`): crashed shards restart from their own WALs,
-hung shards are detected by heartbeat and SIGKILLed, and shards that
-exhaust the ``--shard-retry`` budget are quarantined — the run then
-completes *degraded* with an explicit manifest section instead of dying.
 
 ``query <store> verify`` integrity-checks a store (SQLite
 ``integrity_check`` + schema tag + row counts vs the recorded ingest
@@ -31,17 +26,13 @@ fault injection on the durable path — see :mod:`repro.failpoints`.
 
 Exit codes: 0 success, 1 shape-check failure (or an injected
 ``raise`` fault), 2 usage error or store corruption, 3 checkpoint
-refusal, 4 completed degraded (one or more shards quarantined),
-5 unrecoverable shard failure (primary or every shard lost),
-6 i/o error on the durable path (e.g. ENOSPC), 130 operator
-interrupt (after every live shard flushed a final checkpoint
-snapshot).
+refusal, 6 i/o error on the durable path (e.g. ENOSPC), 130 operator
+interrupt (a checkpointed run flushes a final snapshot first).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -58,10 +49,8 @@ from repro.detection.rules import RuleBasedDetector
 from repro.honeypot.storage import HoneypotDataset
 from repro.honeypot.study import StudyConfig
 from repro.obs import ObservabilityConfig, build_manifest, write_manifest
-from repro.obs.metrics import MetricsRegistry
 from repro.osn.faults import FaultProfile
 from repro.osn.population import PopulationConfig
-from repro.shard.errors import ShardError
 from repro.store import HoneypotStore, StoreError, repair_from_journal
 from repro.store import queries as store_queries
 from repro.util.tables import render_table
@@ -80,12 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the study and persist the dataset",
         epilog=(
             "exit codes: 0 success; 1 shape-check failure; 2 usage error; "
-            "3 checkpoint refusal; 4 completed degraded (one or more shards "
-            "quarantined after --shard-retry restarts); 5 unrecoverable "
-            "shard failure (primary shard or every shard lost); "
+            "3 checkpoint refusal; "
             "6 i/o error on the durable path (e.g. ENOSPC); "
-            "130 operator interrupt (every live shard flushes a final "
-            "checkpoint snapshot first)"
+            "130 operator interrupt (a checkpointed run flushes a final "
+            "snapshot first)"
         ),
     )
     run.add_argument("--scale", type=float, default=0.1,
@@ -116,16 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="resume a crashed/killed run from its checkpoint "
                           "directory (same seed/config required; final "
                           "output is byte-identical to an uninterrupted run)")
-    run.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="run the study as supervised per-campaign shards "
-                          "with up to N worker processes; --jobs N is "
-                          "byte-identical to --jobs 1 (sharded runs are "
-                          "their own determinism domain, distinct from the "
-                          "default single-process path)")
-    run.add_argument("--shard-retry", type=int, default=2, metavar="N",
-                     help="restarts allowed per crashed/hung shard before "
-                          "it is quarantined and the run completes "
-                          "degraded (default: 2; only with --jobs)")
     run.add_argument("--campaigns", type=int, default=None, metavar="K",
                      help="restrict the study to the first K campaign "
                           "specs (page-id assignment keeps all specs' "
@@ -140,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "'ckpt.journal.record=kill@25' (repeatable; "
                           "name=action[:arg][@N], actions: errno:<NAME>, "
                           "kill, torn, exit:<code>, raise, stall:<secs>, "
-                          "hang, count; inherited by shard workers, scope "
-                          "with REPRO_SHARD_TARGET)")
+                          "hang, count)")
 
     report = sub.add_parser("report", help="render tables/figures from a dataset")
     report.add_argument("dataset", type=Path)
@@ -233,24 +209,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("error: --resume already names the checkpoint directory; "
               "drop --checkpoint-dir", file=sys.stderr)
         return 2
-    if args.jobs is not None and args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     if args.failpoint:
-        text = ",".join(args.failpoint)
         try:
-            failpoints.configure(text)
+            failpoints.configure(",".join(args.failpoint))
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        # Spawned shard workers inherit the spec through the environment
-        # (scope with REPRO_SHARD_TARGET); this process is already armed.
-        existing = os.environ.get(failpoints.ENV_VAR, "")
-        os.environ[failpoints.ENV_VAR] = (
-            f"{existing},{text}" if existing else text
-        )
-    if args.jobs is not None:
-        return _run_sharded(args)
     experiment = HoneypotExperiment(_config_for(args))
     started = time.perf_counter()
     results = experiment.run()
@@ -291,76 +255,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print()
         print(full_report(dataset))
     failures = [c for c in results.shape_checks() if not c.passed]
-    for check in failures:
-        print(f"shape check FAILED: {check.name} ({check.detail})")
-    return 1 if failures else 0
-
-
-def _run_sharded(args: argparse.Namespace) -> int:
-    """The ``--jobs N`` path: supervised shards, deterministic merge."""
-    from repro.shard import ShardSupervisor
-
-    config = _config_for(args)
-    supervisor = ShardSupervisor(
-        config, jobs=args.jobs, shard_retry=args.shard_retry
-    )
-    started = time.perf_counter()
-    result = supervisor.run()
-    wall_seconds = time.perf_counter() - started
-    dataset = result.dataset
-    dataset.to_jsonl(args.out)
-    print(f"study complete (sharded, jobs={args.jobs}, "
-          f"{len(result.plan)} shards): {dataset.total_likes} likes, "
-          f"{len(dataset.likers)} likers -> {args.out}")
-    if args.store is not None:
-        _write_store(args.store, dataset)
-    for shard_id in result.quarantined:
-        outcome = result.outcomes[shard_id]
-        print(f"shard QUARANTINED after {outcome.attempts} attempts: "
-              f"{shard_id} ({outcome.error})", file=sys.stderr)
-    if args.metrics is not None:
-        registry = MetricsRegistry()
-        for name, value in result.counters.items():
-            registry.set_counter(name, value)
-        for name, value in result.gauges.items():
-            registry.set_gauge(name, value)
-        manifest = build_manifest(
-            config,
-            registry,
-            wall_seconds=wall_seconds,
-            virtual_minutes=result.virtual_minutes,
-            dataset=dataset,
-        )
-        manifest["shards"] = result.shards_section
-        if result.degraded_section is not None:
-            manifest["degraded"] = result.degraded_section
-        manifest["shard_execution"] = result.execution_section
-        write_manifest(args.metrics, manifest)
-        print(f"run manifest: {len(manifest['counters'])} counters, "
-              f"{len(manifest['gauges'])} gauges, "
-              f"config {manifest['config_hash']} -> {args.metrics}")
-    checkpoint = result.checkpoint
-    if checkpoint.get("snapshots_written") or checkpoint.get("resumed"):
-        mode = "resumed" if checkpoint["resumed"] else "fresh"
-        print(f"checkpoint ({mode}, per-shard): "
-              f"{checkpoint.get('snapshots_written', 0)} snapshots "
-              f"({checkpoint.get('snapshot_bytes', 0)} bytes), "
-              f"{checkpoint.get('barriers_validated', 0)} barriers validated, "
-              f"{checkpoint.get('journal_records_replayed', 0)} journal "
-              f"records replay-verified, "
-              f"{checkpoint.get('journal_records_written', 0)} written")
-    if args.report:
-        print()
-        print(full_report(dataset))
-    if result.quarantined:
-        return 4
-    failures = [
-        c
-        for c in ExperimentResults(
-            dataset=dataset, sharded_execution=True
-        ).shape_checks()
-        if not c.passed
-    ]
     for check in failures:
         print(f"shape check FAILED: {check.name} ({check.detail})")
     return 1 if failures else 0
@@ -529,9 +423,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CheckpointError as error:
         print(f"checkpoint error: {error}", file=sys.stderr)
         return 3
-    except ShardError as error:
-        print(f"unrecoverable shard failure: {error}", file=sys.stderr)
-        return 5
     except failpoints.FailpointError as error:
         print(f"injected failure: {error}", file=sys.stderr)
         return 1

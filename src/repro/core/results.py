@@ -39,19 +39,9 @@ class ShapeCheck:
 
 @dataclass
 class ExperimentResults:
-    """All analyses over one study's dataset, computed lazily.
-
-    ``sharded_execution`` declares the dataset was produced by
-    ``repro.shard`` (``--jobs``), where each campaign runs in an isolated
-    worker process.  Cross-campaign operator state — the shared clickworker
-    pool through which an AuthenticLikes order seeds accounts that a later
-    MustBeViral order reuses — cannot exist across failure domains, so the
-    AL/MS shared-liker check is structurally unanswerable there and is
-    skipped rather than failed.
-    """
+    """All analyses over one study's dataset, computed lazily."""
 
     dataset: HoneypotDataset
-    sharded_execution: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -92,10 +82,9 @@ class ExperimentResults:
         """Evaluate the paper's qualitative findings against this run.
 
         A check is only evaluated when every campaign it reasons about is
-        present in the dataset.  Subset runs (``--campaigns``, a sharded
-        run that quarantined a shard) silently skip the checks they cannot
-        answer — the missing campaigns are already reported explicitly in
-        the run manifest's ``shards``/``degraded`` sections.
+        present in the dataset.  Subset runs (``--campaigns``) silently
+        skip the checks they cannot answer — the user chose to leave the
+        missing campaigns out.
         """
         full_roster = paperdata.BURST_CAMPAIGNS + paperdata.TRICKLE_CAMPAIGNS
         gated = [
@@ -108,12 +97,9 @@ class ExperimentResults:
             # be meaningful comparisons.
             (full_roster, self._check_boostlikes_friends),
             (full_roster, self._check_like_count_gap),
+            (full_roster, self._check_operator_overlap),
+            (full_roster, self._check_termination_ordering),
         ]
-        if not self.sharded_execution:
-            # Isolated shard domains cannot share operator pools across
-            # campaigns, so J(AL, MS) is 0 by construction, not by finding.
-            gated.append((full_roster, self._check_operator_overlap))
-        gated.append((full_roster, self._check_termination_ordering))
         present = self.dataset.campaigns
         return [
             check()

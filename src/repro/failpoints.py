@@ -2,9 +2,8 @@
 
 Every chokepoint a storage fault can hit — the atomic-write/fsync
 primitives (:mod:`repro.util.durable`), the checkpoint journal and
-snapshots (:mod:`repro.ckpt`), the SQLite store (:mod:`repro.store`) and
-the shard worker/supervisor protocol (:mod:`repro.shard`) — calls
-:func:`hit` with a name from the catalog below.  A disarmed hit is one
+snapshots (:mod:`repro.ckpt`) and the SQLite store (:mod:`repro.store`)
+— calls :func:`hit` with a name from the catalog below.  A disarmed hit is one
 dict lookup on an empty-by-default table (``make profile`` records the
 cost as ~0); an armed hit counts deterministically and *fires* its fault
 on exactly the Nth occurrence, so the storage-fault sweep
@@ -13,8 +12,8 @@ write at a reproducible point instead of a racy wall-clock timer.
 
 Activation (all merge):
 
-* env: ``REPRO_FAILPOINTS="name=action@N,name=action@N"`` — inherited by
-  spawned shard workers, installed by :func:`install_from_env`;
+* env: ``REPRO_FAILPOINTS="name=action@N,name=action@N"`` — installed
+  by :func:`install_from_env` at CLI start-up;
 * CLI: ``repro-study run --failpoint name=action@N`` (repeatable);
 * config: ``StudyConfig.failpoints`` (a spec string; excluded from the
   config fingerprint — injection never changes run identity).
@@ -23,7 +22,7 @@ Actions: ``errno:<NAME>`` raises :class:`OSError` with that errno;
 ``kill`` SIGKILLs the process (uncatchable, like a power loss); ``torn``
 runs the call site's partial-effect callback (a short write, a skipped
 rename) and then SIGKILLs; ``exit:<code>`` hard-exits; ``raise`` raises
-:class:`FailpointError` (the poison driver); ``stall:<seconds>`` sleeps
+:class:`FailpointError`; ``stall:<seconds>`` sleeps
 interruptibly once; ``hang`` never returns; ``count`` only counts
 (coverage mode — ``*=count`` arms every registered name).
 
@@ -63,7 +62,7 @@ ACTIONS = ("errno", "kill", "torn", "exit", "raise", "stall", "hang", "count")
 
 
 class FailpointError(RuntimeError):
-    """An injected software fault (the ``raise`` action; poison driver)."""
+    """An injected software fault (the ``raise`` action)."""
 
 
 @dataclass(frozen=True)
@@ -114,19 +113,10 @@ register("ckpt.snapshot.load")
 register("ckpt.manifest.write")
 register("ckpt.manager.resume")
 
-# -- repro.store: SQLite open/ingest/export and the shard merge
+# -- repro.store: SQLite open/ingest/export
 register("store.open")
 register("store.ingest.batch")
 register("store.export.rows")
-register("store.merge.shard")
-
-# -- repro.shard: the worker file protocol and supervisor restarts
-register("shard.worker.hang")
-register("shard.worker.poison")
-register("shard.worker.heartbeat")
-register("shard.worker.state")
-register("shard.worker.done")
-register("shard.supervisor.restart")
 
 
 def all_failpoints() -> List[str]:

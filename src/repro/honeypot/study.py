@@ -110,17 +110,12 @@ class StudyConfig:
         ``resume=True`` continues a killed run under the verified-replay
         contract.
     active_spec_ids:
-        The sharded-execution knob (see :mod:`repro.shard`).  ``None``
-        (the default) runs every campaign in ``specs``.  A list of
-        campaign ids restricts the run to those campaigns *while still
-        creating every spec's honeypot page* in spec order, so page-id
-        assignment is identical across every shard of the same study —
-        a liker record crawled in one shard references the same page
-        ids as a record crawled in any other.
-    collect_globals:
-        Whether this run crawls the baseline sample and computes the
-        global demographics report.  In a sharded study exactly one
-        shard (the primary) collects them; the merge takes them from it.
+        The ``repro-study run --campaigns K`` knob.  ``None`` (the
+        default) runs every campaign in ``specs``.  A list of campaign
+        ids restricts the run to those campaigns *while still creating
+        every spec's honeypot page* in spec order, so page-id assignment
+        does not depend on which campaigns are active — a subset run's
+        records reference the same page ids as the full study's.
     failpoints:
         Deterministic fault-injection spec (see :mod:`repro.failpoints`),
         e.g. ``"ckpt.journal.record=kill@25"``.  ``None`` (the default)
@@ -146,7 +141,6 @@ class StudyConfig:
     observability: ObservabilityConfig = field(default_factory=ObservabilityConfig)
     checkpoint: Optional[CheckpointConfig] = None
     active_spec_ids: Optional[List[str]] = None
-    collect_globals: bool = True
     failpoints: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -243,13 +237,6 @@ class StudyArtifacts:
     metrics: MetricsRegistry = None
     #: Checkpoint-overhead accounting (None when checkpointing was off).
     checkpoint: Optional[Dict] = None
-    #: Final simulated time in virtual minutes (deterministic).
-    virtual_minutes: int = 0
-    #: Users registered before any campaign launch (world + page owners).
-    #: Identical across the shards of one study — everything above it is
-    #: shard-local dynamic allocation (clickworkers, farm accounts), which
-    #: the shard merge relocates into per-shard id ranges.
-    build_user_count: int = 0
 
 
 @dataclass
@@ -275,9 +262,6 @@ class _StudyComponents:
     ad_campaigns: Dict[str, AdCampaign]
     orders: Dict[str, FarmOrder]
     crawl_time: int
-    #: Users registered before any campaign launch (world + page owners);
-    #: the shard merge's dynamic-id floor, identical across shards.
-    build_user_count: int = 0
     dataset: Optional[HoneypotDataset] = None
 
 
@@ -362,8 +346,6 @@ class HoneypotStudy:
             api=components.api,
             metrics=metrics,
             checkpoint=manager.stats() if manager is not None else None,
-            virtual_minutes=int(components.engine.clock.now),
-            build_user_count=components.build_user_count,
         )
 
     def _build(
@@ -428,19 +410,14 @@ class HoneypotStudy:
         orders: Dict[str, FarmOrder] = {}
 
         # Every spec's page is created (in spec order) even when only a
-        # subset is active, so page-id *and page-owner* assignment is
-        # identical across the shards of one study; inactive pages receive
-        # no promotion, no monitor, and stay empty.  Page creation draws no
-        # randomness, and all of it happens before any campaign launch —
-        # the user count at this point is the dynamic-id floor the shard
-        # merge relies on: everything allocated above it (clickworker
-        # pools, farm accounts) is shard-local.
+        # subset is active, so page-id *and page-owner* assignment does not
+        # depend on --campaigns; inactive pages receive no promotion, no
+        # monitor, and stay empty.  Page creation draws no randomness.
         active_ids = {spec.campaign_id for spec in config.active_specs()}
         pages = {
             spec.campaign_id: create_honeypot_page(network, spec.campaign_id)
             for spec in config.specs
         }
-        build_user_count = network.user_count
         for spec in config.specs:
             if spec.campaign_id not in active_ids:
                 continue
@@ -499,7 +476,6 @@ class HoneypotStudy:
             ad_campaigns=ad_campaigns,
             orders=orders,
             crawl_time=crawl_time,
-            build_user_count=build_user_count,
         )
 
     def _simulate(
@@ -694,16 +670,15 @@ class HoneypotStudy:
                 {"type": "baseline", **asdict(record)}
             )
         dataset.likers = crawler.crawl_likers(liker_campaigns, on_record=on_liker)
-        if self.config.collect_globals:
-            dataset.baseline = crawler.crawl_baseline(
-                components.streams["baseline"],
-                self.config.baseline_sample_size,
-                on_record=on_baseline,
-            )
-            report = ReportsTool(components.network).global_report()
-            dataset.global_gender = report.gender
-            dataset.global_age = report.age
-            dataset.global_country = report.country
+        dataset.baseline = crawler.crawl_baseline(
+            components.streams["baseline"],
+            self.config.baseline_sample_size,
+            on_record=on_baseline,
+        )
+        report = ReportsTool(components.network).global_report()
+        dataset.global_gender = report.gender
+        dataset.global_age = report.age
+        dataset.global_country = report.country
         return dataset
 
     def _record_terminations(

@@ -11,9 +11,9 @@ byte-identical-run contract:
   ints stably, so the bug only shows up once strings (per-process hash
   randomisation) or a different resize history enter the set,
 * process state (``multiprocessing``, pids, forks, signals) touched
-  outside the :mod:`repro.shard` supervisor (``DET004``) — untracked
-  child processes are invisible to crash-resume and the deterministic
-  shard merge.
+  anywhere but :mod:`repro.failpoints` (``DET004``) — a study runs in
+  one process, and untracked child processes are invisible to
+  crash-resume.
 
 Dicts are deliberately *not* flagged: CPython dicts iterate in insertion
 order, so a dict built deterministically iterates deterministically.
@@ -67,11 +67,8 @@ class ImportTable:
 
 #: Modules allowed to read the wall clock.  ``repro.obs.metrics`` owns the
 #: timing spans (explicitly separated from deterministic counters),
-#: ``repro.cli`` reports end-to-end wall time to the terminal,
-#: ``repro.sim.engine`` times its dispatch loop via its ``_walltime``
-#: alias, and the shard supervisor/worker pair uses the wall clock for
-#: operational liveness only (heartbeats, hang timeouts, interrupt
-#: grace) — never for anything a simulation reads.
+#: ``repro.cli`` reports end-to-end wall time to the terminal, and
+#: ``repro.sim.engine`` times its dispatch loop via its ``_walltime`` alias.
 #: ``repro.failpoints`` sleeps only to *inject* stalls and hangs; its
 #: clock reads never feed simulated state (disarmed, it touches no clock).
 WALL_CLOCK_ALLOWLIST = frozenset(
@@ -80,8 +77,6 @@ WALL_CLOCK_ALLOWLIST = frozenset(
         "repro.cli",
         "repro.failpoints",
         "repro.sim.engine",
-        "repro.shard.supervisor",
-        "repro.shard.worker",
     }
 )
 
@@ -242,16 +237,13 @@ class UnseededRandomRule(Rule):
 
 
 # --------------------------------------------------------------------------- #
-# DET004 — process state outside repro.shard
+# DET004 — process state outside repro.failpoints
 # --------------------------------------------------------------------------- #
 
-#: The package that owns worker lifecycles, pids, and signals.
-SHARD_HOME = "repro.shard"
-
-#: Modules outside the shard package that may touch process state.
-#: ``repro.failpoints`` SIGKILLs / hard-exits its *own* process — that is
-#: the whole point of the ``kill``/``torn``/``exit`` actions, which model
-#: power loss at a durable-path chokepoint.  It never manages children.
+#: The only modules that may touch process state.  ``repro.failpoints``
+#: SIGKILLs / hard-exits its *own* process — that is the whole point of
+#: the ``kill``/``torn``/``exit`` actions, which model power loss at a
+#: durable-path chokepoint.  It never manages children.
 PROCESS_ALLOWLIST = frozenset({"repro.failpoints"})
 
 #: Modules whose import means a new process (or pool) is being managed.
@@ -284,13 +276,11 @@ def _is_process_module(name: str) -> bool:
 
 @register
 class ProcessStateRule(Rule):
-    """DET004: process management outside the ``repro.shard`` package.
+    """DET004: process management outside :data:`PROCESS_ALLOWLIST`.
 
-    Worker lifecycles are the supervisor's failure domain: it is what
-    heartbeats, restarts from the per-shard WAL, and quarantines.  A
-    stray ``multiprocessing`` pool or ``os.fork()`` anywhere else creates
-    process state that crash-resume and the deterministic merge cannot
-    see, and a casual ``os.getpid()`` invites pid-dependent (and thus
+    A study runs in one process.  A stray ``multiprocessing`` pool or
+    ``os.fork()`` creates process state that crash-resume cannot see,
+    and a casual ``os.getpid()`` invites pid-dependent (and thus
     run-dependent) behaviour.
     """
 
@@ -298,15 +288,12 @@ class ProcessStateRule(Rule):
     name = "process-state"
     severity = Severity.ERROR
     description = (
-        "process management (multiprocessing, os.fork/getpid/kill) outside "
-        "repro.shard; worker lifecycles belong to the shard supervisor"
+        "process management (multiprocessing, os.fork/getpid/kill); a "
+        "study runs in one process"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        name = module.module_name
-        if name == SHARD_HOME or name.startswith(SHARD_HOME + "."):
-            return
-        if name in PROCESS_ALLOWLIST:
+        if module.module_name in PROCESS_ALLOWLIST:
             return
         table = ImportTable(module.tree)
         for node in ast.walk(module.tree):
@@ -316,18 +303,16 @@ class ProcessStateRule(Rule):
                         yield self.finding(
                             module,
                             node,
-                            f"import of process module {alias.name!r} outside "
-                            f"{SHARD_HOME}; worker lifecycles belong to the "
-                            "shard supervisor",
+                            f"import of process module {alias.name!r}; a "
+                            "study runs in one process",
                         )
             elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
                 if _is_process_module(node.module):
                     yield self.finding(
                         module,
                         node,
-                        f"from-import from process module {node.module!r} "
-                        f"outside {SHARD_HOME}; worker lifecycles belong to "
-                        "the shard supervisor",
+                        f"from-import from process module {node.module!r}; "
+                        "a study runs in one process",
                     )
             elif isinstance(node, ast.Call):
                 dotted = table.resolve(node.func)
@@ -335,8 +320,8 @@ class ProcessStateRule(Rule):
                     yield self.finding(
                         module,
                         node,
-                        f"process-state call {dotted}() outside {SHARD_HOME}; "
-                        "pids and signals belong to the shard supervisor",
+                        f"process-state call {dotted}(); a study runs in "
+                        "one process",
                     )
 
 

@@ -5,7 +5,7 @@ adjacency map (``ALLOWED_DEPS``): foundations at the bottom (``util``,
 ``obs``), the world model above them (``sim``, ``osn``), behaviours
 above that (``ads``, ``farms``), the study orchestration layer
 (``honeypot``, ``analysis``, ``detection``), and the operational shell
-on top (``shard``, ``store``, ``core``, ``cli``).  An import that goes
+on top (``store``, ``core``, ``cli``).  An import that goes
 *up* the DAG — say ``osn`` importing from ``honeypot`` — couples the
 world model to its consumers and is refused outright, as is any new
 module-level import cycle (found by SCC over the project import graph).
@@ -42,10 +42,7 @@ ALLOWED_DEPS: Dict[str, Tuple[str, ...]] = {
     "analysis": ("farms", "honeypot", "obs", "osn", "util"),
     "detection": ("analysis", "honeypot", "obs", "osn", "util"),
     "core": ("analysis", "honeypot", "obs", "util"),
-    "shard": ("ckpt", "failpoints", "honeypot", "obs", "util"),
-    "store": (
-        "analysis", "ckpt", "failpoints", "honeypot", "obs", "shard", "util",
-    ),
+    "store": ("analysis", "ckpt", "failpoints", "honeypot", "obs", "util"),
     # the linter is a standalone tool: nothing runtime may import it,
     # and it imports nothing runtime
     "lint": (),

@@ -18,11 +18,10 @@ themselves across calls, returns, and attributes (via the
   constant label (seed-derived children with equal labels are the *same*
   stream — two consumers in lockstep), a constant-label fork inside a
   loop (every iteration yields the identical child), or one stream
-  retained by two different callees (two owners of one generator, e.g.
-  a stream reaching two shard workers).
+  retained by two different callees (two owners of one generator).
 * **XDET003** — a root ``RngStream(...)`` constructed outside the
   blessed modules: every stream must descend from the study root via
-  ``child``, or sharding/resume cannot re-derive it.
+  ``child``, or resume cannot re-derive it.
 """
 
 from __future__ import annotations

@@ -54,9 +54,12 @@ def config_fingerprint(config) -> str:
         "fault_profile",
         "retry_policy",
         "active_spec_ids",
-        "collect_globals",
     ):
         parts.append(f"{name}={getattr(config, name, None)!r}")
+    # The retired ``collect_globals`` field was always True outside the
+    # removed per-campaign sharding; hashing that value keeps every
+    # fingerprint, and so every existing checkpoint, resumable.
+    parts.append("collect_globals=True")
     digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
     return digest[:16]
 
@@ -109,13 +112,10 @@ def write_manifest(path: Path, manifest: Dict) -> Path:
 def deterministic_sections(manifest: Dict) -> Dict:
     """The parts of a manifest covered by the same-seed identity contract.
 
-    Sharded runs add a ``shards`` section (the shard plan and per-shard
-    deterministic outcomes) and a ``degraded`` section (quarantined
-    shards).  Both are covered: which shards exist and which campaigns
-    they own follow from the config, and quarantine only happens under
-    injected poison, never from seeded simulation.  Supervisor execution
-    detail (attempt counts, restarts, wall timings) lives outside these
-    sections.
+    ``shards`` and ``degraded`` were written only by the removed
+    per-campaign sharding and are ``None`` for every manifest written
+    now; they stay so that sections compare equal with those of
+    manifests written before the removal.
     """
     return {
         "config_hash": manifest["config_hash"],

@@ -5,7 +5,7 @@ the in-memory :class:`~repro.honeypot.storage.HoneypotDataset`: the same
 records, held in indexed tables instead of dicts, so the analyses can run
 as SQL/incremental queries over millions of liker records without holding
 the corpus in memory, and an ingest stream (a finished dataset, a study
-JSONL file, a checkpoint WAL, a shard merge) lands in batched
+JSONL file, a checkpoint WAL) lands in batched
 transactions instead of one giant object graph.
 
 Guarantees:

@@ -57,16 +57,11 @@ class TestExperimentResults:
     def test_passed_all(self, small_results):
         assert small_results.passed_all()
 
-    def test_sharded_execution_skips_operator_overlap(self, small_results):
-        # Shard isolation means AL/MS can never share a clickworker pool,
-        # so the overlap check is skipped (not failed) for sharded datasets.
-        sharded = ExperimentResults(
-            dataset=small_results.dataset, sharded_execution=True
-        )
-        names = {c.name for c in sharded.shape_checks()}
-        assert "al-ms-share-likers" not in names
-        full = {c.name for c in small_results.shape_checks()}
-        assert full - names == {"al-ms-share-likers"}
+    def test_operator_overlap_is_always_checked(self, small_results):
+        # Every campaign shares one world, so the AL/MS shared-operator
+        # finding is answerable for any full-roster dataset.
+        names = {c.name for c in small_results.shape_checks()}
+        assert "al-ms-share-likers" in names
 
 
 class TestHoneypotExperiment:

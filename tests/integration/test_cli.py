@@ -219,3 +219,28 @@ class TestCheckpointFlags:
         rc = main(self.SMALL + ["--out", str(tmp_path / "a.jsonl")])
         assert rc == 130
         assert "interrupted" in capsys.readouterr().err
+
+
+class TestFailpointFlag:
+    SMALL = ["run", "--scale", "0.02", "--seed", "11", "--population", "250"]
+
+    def test_failpoint_does_not_leak_into_a_later_run(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # --failpoint arms this process only; a later main() in the same
+        # process, after a reset, must start with nothing armed.
+        from repro import failpoints
+
+        monkeypatch.delenv(failpoints.ENV_VAR, raising=False)
+        failpoints.reset()
+        try:
+            rc = main(self.SMALL + ["--out", str(tmp_path / "a.jsonl"),
+                                    "--failpoint", "store.open=count@1"])
+            assert rc in (0, 1)
+            failpoints.reset()
+            rc = main(self.SMALL + ["--out", str(tmp_path / "b.jsonl")])
+            assert rc in (0, 1)
+            assert not failpoints.is_armed(), failpoints.state()["armed"]
+        finally:
+            failpoints.reset()
+        capsys.readouterr()

@@ -1,4 +1,4 @@
-"""DET004 violation: process state managed outside repro.shard."""
+"""DET004 violation: process state managed outside repro.failpoints."""
 
 import multiprocessing  # line 3: DET004 (process-module import)
 import os

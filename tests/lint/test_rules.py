@@ -125,7 +125,7 @@ class TestDet004ProcessState:
     def test_clean_fixture_is_silent(self):
         assert findings_for("clean_det004.py") == []
 
-    def test_shard_package_is_exempt(self):
+    def test_only_failpoints_is_exempt(self):
         source = (
             "import multiprocessing\n"
             "import os\n\n"
@@ -133,16 +133,10 @@ class TestDet004ProcessState:
             "    os.setpgrp()\n"
             "    return os.getpid()\n"
         )
-        for module in ("repro.shard", "repro.shard.worker", "repro.shard.supervisor"):
-            assert lint_source(source, "w.py", module_name=module) == []
-        outside = lint_source(source, "w.py", module_name="repro.sim.engine")
-        assert lines_with(outside, "DET004") == [1, 5, 6]
-
-    def test_shard_prefix_does_not_leak_to_other_packages(self):
-        # "repro.sharding" must not ride the "repro.shard" exemption.
-        source = "import os\npid = os.getpid()\n"
-        findings = lint_source(source, "x.py", module_name="repro.sharding.util")
-        assert lines_with(findings, "DET004") == [2]
+        assert lint_source(source, "w.py", module_name="repro.failpoints") == []
+        for module in ("repro.shard", "repro.shard.worker", "repro.sim.engine"):
+            findings = lint_source(source, "w.py", module_name=module)
+            assert lines_with(findings, "DET004") == [1, 5, 6]
 
     def test_aliased_os_call_is_resolved(self):
         source = "import os as _os\n\n_os.fork()\n"

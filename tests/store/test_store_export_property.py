@@ -1,7 +1,7 @@
 """The store export property: ``run --store`` equals ``--out`` byte for byte.
 
-One seeded study per execution mode — plain, ``--chaos`` (fault-injected
-crawl), ``--jobs 4`` (sharded) — each through the real CLI, then the
+One seeded study per execution mode — plain and ``--chaos``
+(fault-injected crawl) — each through the real CLI, then the
 store's JSONL export is compared byte for byte against the legacy
 ``--out`` file of the *same* run.
 """
@@ -17,7 +17,6 @@ from repro.store import HoneypotStore
     [
         ("plain", []),
         ("chaos", ["--chaos"]),
-        ("sharded", ["--jobs", "4"]),
     ],
 )
 def test_store_export_is_byte_identical(tmp_path, capsys, mode, extra):

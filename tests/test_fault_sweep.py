@@ -9,7 +9,7 @@ documented recovery path.  Exactly two endings are acceptable:
    an uninterrupted run (pinned by ``GOLDEN`` / a per-argset reference).
 2. **A named refusal** — the run exits through one of the documented
    error channels (exit 2 store corruption, 3 checkpoint refusal,
-   5 unrecoverable shards, 6 i/o error, 1 injected ``raise``) with a
+   6 i/o error, 1 injected ``raise``) with a
    prefixed one-line message on stderr.
 
 Anything else — a silent truncation, a raw traceback exit, a hang (the
@@ -21,7 +21,6 @@ registered_failpoint`` pins the scenario table to the catalog, so a new
 import hashlib
 import json
 import os
-import random  # repro-lint: allow-DET002 seeded fixture data, no study rng
 import signal
 import subprocess
 import sys
@@ -30,8 +29,8 @@ from pathlib import Path
 import pytest
 
 from repro import failpoints
-from repro.store import HoneypotStore, StoreError, merge_shards_into_store
-from tests.shard.test_merge import build_completed, make_plan
+from repro.honeypot.storage import HoneypotDataset
+from repro.store import HoneypotStore
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -42,8 +41,6 @@ SRC = REPO_ROOT / "src"
 #: history must converge on these bytes).
 GOLDEN = "9b9aa9804219b6927d750cca038fd30f1786053542694fd593979bbb404ff04f"
 SMALL = ["--scale", "0.02", "--seed", "11", "--population", "250"]
-#: Sharded variant (3 campaigns keeps the worker fleet small and fast).
-SHARD = SMALL + ["--jobs", "2", "--campaigns", "3"]
 
 #: Injection envs scrubbed from every subprocess so only the scenario's
 #: own spec is armed (resume legs run with nothing armed at all).
@@ -52,9 +49,6 @@ INJECTION_ENVS = (
     failpoints.CRASH_AFTER_ENV,
     failpoints.STALL_AFTER_ENV,
     failpoints.STALL_SECONDS_ENV,
-    "REPRO_SHARD_TARGET",
-    "REPRO_SHARD_HANG",
-    "REPRO_SHARD_POISON",
 )
 
 
@@ -62,7 +56,6 @@ def cli(cwd: Path, args, env_extra=None, timeout=240):
     """Run ``repro-study <args>`` in ``cwd``; the timeout is the no-hang gate."""
     env = {k: v for k, v in os.environ.items() if k not in INJECTION_ENVS}
     env["PYTHONPATH"] = str(SRC)
-    env["REPRO_SHARD_HEARTBEAT_TIMEOUT"] = "3"
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -130,15 +123,17 @@ class Refs:
 
     def __init__(self, factory) -> None:
         self._factory = factory
-        self._shard_hash = None
+        self._golden = None
 
-    def shard_hash(self) -> str:
-        if self._shard_hash is None:
-            tmp = self._factory.mktemp("shard-ref")
-            clean = cli(tmp, ["run", *SHARD, "--out", "out.jsonl"])
+    def golden_jsonl(self) -> Path:
+        """A clean SMALL run's dataset file (its bytes hash to GOLDEN)."""
+        if self._golden is None:
+            tmp = self._factory.mktemp("golden")
+            clean = cli(tmp, ["run", *SMALL, "--out", "out.jsonl"])
             assert clean.returncode in (0, 1), clean.stderr
-            self._shard_hash = sha256(tmp / "out.jsonl")
-        return self._shard_hash
+            assert sha256(tmp / "out.jsonl") == GOLDEN
+            self._golden = tmp / "out.jsonl"
+        return self._golden
 
 
 @pytest.fixture(scope="session")
@@ -265,12 +260,8 @@ def scenario_store_export_rows(tmp, refs):
     # In-process: the export stream dies on EIO, is disarmed, and then
     # produces the identical bytes the dataset would.
     failpoints.reset()
-    rng = random.Random(20140312)
-    plan = make_plan(2)
-    completed = build_completed(plan, list(range(1_000_000, 1_000_200)), rng)
-    dataset = completed[plan[0].shard_id][0]
-    reference = tmp / "reference.jsonl"
-    dataset.to_jsonl(reference)
+    reference = refs.golden_jsonl()
+    dataset = HoneypotDataset.from_jsonl(reference)
     with HoneypotStore.create(tmp / "s.sqlite") as store:
         store.ingest_dataset(dataset)
         failpoints.configure("store.export.rows=errno:EIO@1")
@@ -279,85 +270,6 @@ def scenario_store_export_rows(tmp, refs):
         failpoints.reset()
         store.to_jsonl(tmp / "export.jsonl")
     assert (tmp / "export.jsonl").read_bytes() == reference.read_bytes()
-
-
-def scenario_store_merge_shard(tmp, refs):
-    # In-process: a disk fault mid shard-merge is a named StoreError and
-    # rolls the torn shard back.
-    failpoints.reset()
-    rng = random.Random(20140312)
-    plan = make_plan(3)
-    completed = build_completed(plan, list(range(1_000_000, 1_000_300)), rng)
-    paths = {}
-    for shard_id, (dataset, state) in completed.items():
-        path = tmp / f"{shard_id}.jsonl"
-        dataset.to_jsonl(path)
-        paths[shard_id] = (path, state)
-    with HoneypotStore.create(tmp / "m.sqlite") as store:
-        failpoints.configure("store.merge.shard=errno:EIO@2")
-        with pytest.raises(StoreError, match="merging shard"):
-            merge_shards_into_store(plan, paths, store)
-        failpoints.reset()
-
-
-def scenario_shard_worker_hang(tmp, refs):
-    spec = "shard.worker.hang=hang@1"
-    run = cli(tmp, ["run", *SHARD, "--out", "out.jsonl", "--failpoint", spec])
-    assert run.returncode in (0, 1), run.stderr
-    assert f"failpoint fired: {spec}" in run.stderr, run.stderr
-    assert sha256(tmp / "out.jsonl") == refs.shard_hash()
-
-
-def scenario_shard_worker_poison(tmp, refs):
-    spec = "shard.worker.poison=raise:injected poison@1"
-    run = cli(tmp, [
-        "run", *SHARD, "--shard-retry", "0",
-        "--out", "out.jsonl", "--failpoint", spec,
-    ])
-    assert_named_error(run, 5, "unrecoverable shard failure")
-    assert "injected poison" in run.stderr
-    assert not (tmp / "out.jsonl").exists(), "refused run must not export"
-
-
-def scenario_shard_worker_heartbeat(tmp, refs):
-    # Hit 1 is the synchronous start beat; hit 2 is the first timer
-    # beat (~0.2s in), which short-lived small-scale workers still reach.
-    spec = "shard.worker.heartbeat=kill@2"
-    run = cli(tmp, ["run", *SHARD, "--out", "out.jsonl", "--failpoint", spec])
-    assert run.returncode in (0, 1), run.stderr
-    assert f"failpoint fired: {spec}" in run.stderr, run.stderr
-    assert sha256(tmp / "out.jsonl") == refs.shard_hash()
-
-
-def scenario_shard_worker_state(tmp, refs):
-    spec = "shard.worker.state=kill@1"
-    run = cli(tmp, ["run", *SHARD, "--out", "out.jsonl", "--failpoint", spec])
-    assert run.returncode in (0, 1), run.stderr
-    assert f"failpoint fired: {spec}" in run.stderr, run.stderr
-    assert sha256(tmp / "out.jsonl") == refs.shard_hash()
-
-
-def scenario_shard_worker_done(tmp, refs):
-    spec = "shard.worker.done=kill@1"
-    run = cli(tmp, ["run", *SHARD, "--out", "out.jsonl", "--failpoint", spec])
-    assert run.returncode in (0, 1), run.stderr
-    assert f"failpoint fired: {spec}" in run.stderr, run.stderr
-    assert sha256(tmp / "out.jsonl") == refs.shard_hash()
-
-
-def scenario_shard_supervisor_restart(tmp, refs):
-    # The supervisor itself dies between noticing a worker crash and
-    # relaunching it; a supervisor-level --resume picks the run back up
-    # from the per-shard WALs.
-    crash = cli(tmp, [
-        "run", *SHARD, "--out", "out.jsonl", "--checkpoint-dir", "cks",
-        "--failpoint", "shard.worker.state=kill@1",
-        "--failpoint", "shard.supervisor.restart=kill@1",
-    ])
-    assert_killed(crash, "shard.supervisor.restart=kill@1")
-    resume = cli(tmp, ["run", *SHARD, "--out", "out.jsonl", "--resume", "cks"])
-    assert resume.returncode in (0, 1), resume.stderr
-    assert sha256(tmp / "out.jsonl") == refs.shard_hash()
 
 
 SCENARIOS = {
@@ -374,13 +286,6 @@ SCENARIOS = {
     "store.open": scenario_store_open,
     "store.ingest.batch": scenario_store_ingest_batch,
     "store.export.rows": scenario_store_export_rows,
-    "store.merge.shard": scenario_store_merge_shard,
-    "shard.worker.hang": scenario_shard_worker_hang,
-    "shard.worker.poison": scenario_shard_worker_poison,
-    "shard.worker.heartbeat": scenario_shard_worker_heartbeat,
-    "shard.worker.state": scenario_shard_worker_state,
-    "shard.worker.done": scenario_shard_worker_done,
-    "shard.supervisor.restart": scenario_shard_supervisor_restart,
 }
 
 

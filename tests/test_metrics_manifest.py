@@ -76,6 +76,16 @@ class TestCliManifest:
             assert keys == sorted(keys)
 
 
+class TestConfigFingerprint:
+    # Literal fingerprints: a config change that moves them strands every
+    # checkpoint written before it (resume refuses on a mismatch).
+    def test_default_config_fingerprint_is_pinned(self):
+        assert config_fingerprint(StudyConfig()) == "5d8f27032e105775"
+
+    def test_chaos_config_fingerprint_is_pinned(self):
+        assert config_fingerprint(StudyConfig.chaos()) == "02ab1870385885a0"
+
+
 class TestRegistryViews:
     @pytest.fixture(scope="class")
     def chaos_experiment(self):

@@ -85,9 +85,9 @@ class TestHit:
         assert failpoints.state()["hits"] == {"store.open": 4}
 
     def test_raise_carries_the_spec_arg_as_message(self):
-        failpoints.configure("shard.worker.poison=raise:injected poison")
+        failpoints.configure("store.ingest.batch=raise:injected poison")
         with pytest.raises(FailpointError, match="injected poison"):
-            failpoints.hit("shard.worker.poison")
+            failpoints.hit("store.ingest.batch")
 
     def test_errno_action_raises_oserror_with_that_code(self):
         failpoints.configure("durable.fsync.file=errno:ENOSPC")
