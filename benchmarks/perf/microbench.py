@@ -1,15 +1,15 @@
 """Micro-benchmarks of the hot OSN write paths.
 
 Run with ``python -m benchmarks.perf.microbench`` (PYTHONPATH=src).  Each
-benchmark times the scalar per-item path against its bulk counterpart on
-the same workload, so the speedup of the batch APIs is visible in
-isolation from the full study:
+benchmark times the scalar path the event loop calls against the cohort
+path the world generators call, on the same workload, so the speedup of
+the cohort APIs is visible in isolation from the full study:
 
-* ``like_page`` loop vs ``like_pages_bulk`` (the study's dominant cost:
-  ~1.2M like writes at paper scale),
-* ``LikeLog.record`` loop vs ``LikeLog.record_many``,
-* ``add_friendship`` loop vs ``add_friendships_bulk``,
-* ``weighted_sample_without_replacement`` with and without the
+* ``like_page`` loop vs ``like_pages_fresh_many`` (the study's dominant
+  cost: ~1.2M like writes at paper scale),
+* ``LikeLog.record`` loop vs ``LikeLog.record_arrays``,
+* ``add_friendship`` loop vs ``add_friendships_arrays``,
+* ``weighted_sample_positive`` with and without the
   ``k == len(population)`` short-circuit being applicable.
 """
 
@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.osn.events import LikeEvent, LikeLog
 from repro.osn.network import SocialNetwork
 from repro.osn.profile import Gender
-from repro.util.distributions import (
-    weighted_sample_without_replacement,
-    zipf_weights,
-)
+from repro.util.distributions import weighted_sample_positive, zipf_weights
 from repro.util.rng import RngStream
 
 N_USERS = 500
@@ -65,10 +64,13 @@ def bench_like_writes() -> None:
     _timed("scalar like_page loop", scalar)
 
     network, users, pages = _fresh_world()
-    def bulk():
-        for user_id, batch in zip(users, batches):
-            network.like_pages_bulk(user_id, [pages[i] for i in batch], time=0)
-    _timed("like_pages_bulk", bulk)
+    page_lists = [
+        np.asarray([pages[i] for i in batch], dtype=np.int64) for batch in batches
+    ]
+    _timed(
+        "like_pages_fresh_many",
+        lambda: network.like_pages_fresh_many(users, page_lists, time=0),
+    )
 
 
 def bench_like_log() -> None:
@@ -79,10 +81,9 @@ def bench_like_log() -> None:
     log = LikeLog()
     _timed("scalar record loop", lambda: [log.record(e) for e in events] and None)
     log2 = LikeLog()
-    _timed(
-        "record_many",
-        lambda: log2.record_many(1, [e.page_id for e in events], 0),
-    )
+    user_ids = np.full(len(events), 1, dtype=np.int64)
+    page_ids = np.asarray([e.page_id for e in events], dtype=np.int64)
+    _timed("record_arrays", lambda: log2.record_arrays(user_ids, page_ids, 0))
 
 
 def bench_friendships() -> None:
@@ -99,23 +100,24 @@ def bench_friendships() -> None:
     _timed("scalar add_friendship loop", scalar)
 
     network, users, _ = _fresh_world()
+    ids = np.asarray(users, dtype=np.int64)
+    a_ids = ids[np.asarray([x for x, _ in pairs], dtype=np.int64)]
+    b_ids = ids[np.asarray([y for _, y in pairs], dtype=np.int64)]
     _timed(
-        "add_friendships_bulk",
-        lambda: network.add_friendships_bulk(
-            (users[x], users[y]) for x, y in pairs
-        ),
+        "add_friendships_arrays",
+        lambda: network.add_friendships_arrays(a_ids, b_ids),
     )
 
 
 def bench_weighted_sampling() -> None:
     rng = RngStream(13, "microbench/sampling")
-    items = list(range(400))
+    items = np.arange(400, dtype=np.int64)
     weights = zipf_weights(len(items), 0.9)
     print("weighted sampling: 5000 draws from a 400-page segment")
     _timed(
         "k=100 (Efraimidis-Spirakis path)",
         lambda: [
-            weighted_sample_without_replacement(rng, items, weights, 100)
+            weighted_sample_positive(rng, items, weights, 100)
             for _ in range(5000)
         ]
         and None,
@@ -123,7 +125,7 @@ def bench_weighted_sampling() -> None:
     _timed(
         "k=400 (whole-population short-circuit)",
         lambda: [
-            weighted_sample_without_replacement(rng, items, weights, 400)
+            weighted_sample_positive(rng, items, weights, 400)
             for _ in range(5000)
         ]
         and None,

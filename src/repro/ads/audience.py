@@ -33,13 +33,6 @@ class AudienceEstimate:
     matched_profiles: int
     estimated_reach: int
 
-    @property
-    def match_fraction(self) -> float:
-        """Share of the sampled population inside the audience."""
-        if self.matched_profiles == 0:
-            return 0.0
-        return self.matched_profiles / max(self.matched_profiles, 1)
-
 
 class NetworkAudienceEstimator:
     """Estimates reach by counting matching profiles in the world.

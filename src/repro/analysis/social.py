@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import networkx as nx
 
@@ -226,13 +226,4 @@ def provider_membership(dataset: HoneypotDataset) -> Dict[int, str]:
         liker.user_id: provider
         for provider, likers in groups.items()
         for liker in likers
-    }
-
-
-def groups_as_frozensets(dataset: HoneypotDataset) -> Dict[str, FrozenSet[int]]:
-    """Provider group memberships as frozensets of liker ids."""
-    return {
-        # repro-lint: allow-DET003 frozenset values consumed via set algebra and len() only
-        provider: frozenset(liker.user_id for liker in likers)
-        for provider, likers in group_likers_by_provider(dataset).items()
     }

@@ -5,7 +5,6 @@ Kept dependency-light and dataset-agnostic: distributions in, numbers out.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
@@ -129,8 +128,3 @@ def gini_coefficient(values: Sequence[float]) -> float:
     n = len(data)
     index = np.arange(1, n + 1)
     return float((2 * np.sum(index * data) - (n + 1) * total) / (n * total))
-
-
-def math_isclose(a: float, b: float, rel_tol: float = 1e-9) -> bool:
-    """Tolerant float comparison (re-exported for test helpers)."""
-    return math.isclose(a, b, rel_tol=rel_tol)

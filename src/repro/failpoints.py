@@ -26,10 +26,8 @@ rename) and then SIGKILLs; ``exit:<code>`` hard-exits; ``raise`` raises
 interruptibly once; ``hang`` never returns; ``count`` only counts
 (coverage mode — ``*=count`` arms every registered name).
 
-The legacy harness envs (``REPRO_CKPT_CRASH_AFTER``,
-``REPRO_CKPT_STALL_AFTER``/``_SECONDS``) are kept as aliases: they
-translate onto ``ckpt.journal.record`` here, preserving the original
-"after the Nth durably journaled record" semantics, header included.
+To kill or stall a run after its Nth durably journaled record (header
+included), arm ``ckpt.journal.record=kill@N`` or ``=stall:<seconds>@N``.
 
 Firing is announced on stderr and — when a metrics registry is bound via
 :func:`bind_metrics` — as a ``failpoint_fired`` trace event.  Neither
@@ -49,13 +47,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 #: The activation environment variable (spec string, comma-separated).
 ENV_VAR = "REPRO_FAILPOINTS"
-
-#: Legacy alias — SIGKILL after the Nth journaled record (header included).
-CRASH_AFTER_ENV = "REPRO_CKPT_CRASH_AFTER"
-#: Legacy alias — stall once after the Nth journaled record ...
-STALL_AFTER_ENV = "REPRO_CKPT_STALL_AFTER"
-#: ... for this many seconds (default 60).
-STALL_SECONDS_ENV = "REPRO_CKPT_STALL_SECONDS"
 
 #: Actions a failpoint may fire (the part before ``:<arg>``).
 ACTIONS = ("errno", "kill", "torn", "exit", "raise", "stall", "hang", "count")
@@ -203,22 +194,12 @@ def configure(text: str) -> List[FaultSpec]:
 
 
 def install_from_env(environ=None) -> List[FaultSpec]:
-    """Arm failpoints from :data:`ENV_VAR` plus the legacy alias envs."""
+    """Arm failpoints from the :data:`ENV_VAR` spec string."""
     env = os.environ if environ is None else environ
-    parts: List[str] = []
     text = env.get(ENV_VAR, "").strip()
-    if text:
-        parts.append(text)
-    crash_after = env.get(CRASH_AFTER_ENV, "").strip()
-    if crash_after:
-        parts.append(f"ckpt.journal.record=kill@{int(crash_after)}")
-    stall_after = env.get(STALL_AFTER_ENV, "").strip()
-    if stall_after:
-        seconds = float(env.get(STALL_SECONDS_ENV, "60"))
-        parts.append(f"ckpt.journal.record=stall:{seconds}@{int(stall_after)}")
-    if not parts:
+    if not text:
         return []
-    return configure(",".join(parts))
+    return configure(text)
 
 
 def reset() -> None:

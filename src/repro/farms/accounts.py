@@ -18,7 +18,7 @@ import numpy as np
 from repro.farms.base import REGION_USA
 from repro.osn.ids import UserId
 from repro.osn.network import SocialNetwork
-from repro.osn.population import GLOBAL_AGE_WEIGHTS, sample_ages
+from repro.osn.population import sample_ages
 from repro.osn.profile import COHORT_FARM_PREFIX
 from repro.osn.universe import FARM_MIX, LikeMix, PageUniverse
 from repro.util.distributions import Categorical, LogNormalCount
@@ -103,11 +103,6 @@ class FarmAccountConfig:
         if region == REGION_USA and self.honors_targeting:
             return self.usa_countries.sample(rng)
         return self.worldwide_countries.sample(rng)
-
-    @staticmethod
-    def near_global_age() -> Categorical:
-        """An age distribution close to the global network's (low KL)."""
-        return Categorical(GLOBAL_AGE_WEIGHTS)
 
 
 class FakeAccountFactory:

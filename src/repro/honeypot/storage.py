@@ -246,14 +246,14 @@ def iter_jsonl_rows(
 ) -> Iterator[tuple]:
     """Stream ``(row, line_number)`` pairs from a dataset JSONL file.
 
-    The parsing half of :meth:`HoneypotDataset.from_jsonl`, shared with
-    the store's streaming ingest so both honour the same corruption
-    contract: any line that is not a JSON object raises :class:`ValueError`
-    naming the file and line.  With ``salvage=True``, *only* a torn final
-    line — the crash-mid-append signature — is dropped (with a
-    ``jsonl_salvage`` trace event); an unparseable line anywhere before
-    valid records is interior corruption and still raises, so salvage can
-    never silently swallow data from the middle of a file.
+    The parsing half of :meth:`HoneypotDataset.from_jsonl`.  The file is
+    read whole; rows are yielded one at a time.  Any line that is not a
+    JSON object raises :class:`ValueError` naming the file and line.
+    With ``salvage=True``, *only* a torn final line — the
+    crash-mid-append signature — is dropped (with a ``jsonl_salvage``
+    trace event); an unparseable line anywhere before valid records is
+    interior corruption and still raises, so salvage can never silently
+    swallow data from the middle of a file.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -169,19 +169,6 @@ class ColumnIndex:
         self._tail_map: Dict[int, List[int]] = {}
         self._scanned_n = 0
 
-    @property
-    def compiled_n(self) -> int:
-        return self._compiled_n
-
-    def invalidate(self) -> None:
-        self._order = None
-        self._sorted_keys = None
-        self._unique = None
-        self._starts = None
-        self._compiled_n = 0
-        self._tail_map = {}
-        self._scanned_n = 0
-
     def compile(self, keys: np.ndarray) -> None:
         """(Re)build the index over the full column ``keys``."""
         order = np.argsort(keys, kind="stable")

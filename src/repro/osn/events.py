@@ -10,10 +10,10 @@ lazily compiled :class:`repro.osn.columns.ColumnIndex` inverted indexes
 (per page and per user).  "All events for page p" is one stable-sorted
 slice; events appended after an index compiles land in a tail the index
 scans vectorised.  :class:`LikeEvent` objects are materialised only on
-read.  At paper scale the write path sees ~1.2M events, so the hot entry
-point is :meth:`LikeLog.record_many`, which validates once per batch
-instead of once per event; the scalar :meth:`LikeLog.record` remains for
-single events.
+read.  Events arrive two ways: one at a time from the event loop
+(:meth:`LikeLog.record`), and a whole cohort at once from the world
+build (:meth:`LikeLog.record_arrays`, ~1.2M events at paper scale),
+which validates once per batch instead of once per event.
 
 Removals are kept as a side list of :class:`LikeRemovalEvent` records
 tagged with the like-event count at removal time (their *sequence
@@ -112,50 +112,16 @@ class LikeLog:
         if time > self._max_time:
             self._max_time = time
 
-    def record_many(
-        self, user_id: UserId, page_ids: Sequence[PageId], time: int
-    ) -> None:
-        """Append one like event per page for ``user_id``, all at ``time``.
-
-        The batch fast path: time validity is checked once, and because
-        the engine delivers events chronologically, the per-page
-        chronological invariant usually reduces to a single comparison
-        against the global high-water mark.  Callers
-        (``SocialNetwork.like_pages_bulk``) guarantee ``page_ids`` holds
-        no duplicates and no already-liked pages.
-        """
-        k = len(page_ids)
-        if k == 0:
-            return
-        require(time >= 0, "like time must be >= 0")
-        # Validate before mutating: a batch either applies in full or not
-        # at all, so a rejected batch never leaves the columns
-        # half-written.  ``time >= _max_time`` subsumes every per-page
-        # check; the slow path compares against each page's own last
-        # event time, exactly like the old per-page list tail.
-        if time < self._max_time:
-            for page_id in page_ids:
-                last = self.page_last_time(page_id)
-                if last is not None and time < last:
-                    raise ValidationError(
-                        "like events for a page must arrive in chronological order"
-                    )
-        self._pages.extend(np.asarray(page_ids, dtype=np.int64))
-        self._users.extend_full(k, user_id)
-        self._times.extend_full(k, time)
-        self._count += k
-        if time > self._max_time:
-            self._max_time = time
-
     def record_arrays(
         self, user_ids: np.ndarray, page_ids: np.ndarray, time: int
     ) -> None:
         """Append aligned ``(user, page)`` event columns, all at ``time``.
 
         The cohort-wide fast path: one call lands every like a generator
-        batch produced.  Same validation contract as :meth:`record_many`
-        (batch atomicity, chronological order per page), one column append
-        for the whole cohort.
+        batch produced, as one column append.  Validation matches
+        :meth:`record` (non-negative time, chronological order per page)
+        and runs before any column is touched, so a rejected batch
+        leaves the log unchanged.
         """
         k = page_ids.shape[0]
         if k == 0:

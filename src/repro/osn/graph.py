@@ -214,25 +214,15 @@ class FriendshipGraph:
         self._note_new_endpoint(b)
         self._overlay_edge_count += 1
 
-    def add_friendships_bulk(self, pairs: Iterable[Tuple[UserId, UserId]]) -> int:
-        """Add many undirected edges; returns how many were new.
+    def add_friendship_arrays(self, a, b) -> int:
+        """Add the undirected edges ``(a[i], b[i])``; returns how many were new.
 
         Behaviour per pair matches :meth:`add_friendship` (idempotent,
         self-loops rejected).  A batch with a self-loop is rejected
         whole, before any edge is added, so the edge count always
-        matches the adjacency.
-        """
-        pairs = list(pairs)
-        if not pairs:
-            return 0
-        arr = np.asarray(pairs, dtype=np.int64)
-        return self.add_friendship_arrays(arr[:, 0], arr[:, 1])
-
-    def add_friendship_arrays(self, a, b) -> int:
-        """Vectorised :meth:`add_friendships_bulk` over endpoint arrays.
-
-        The configuration-model wiring feeds ~190k pairs per paper-scale
-        build; one compile absorbs the whole batch.
+        matches the adjacency.  The configuration-model wiring feeds
+        ~190k pairs per paper-scale build; one compile absorbs the whole
+        batch.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -265,13 +255,6 @@ class FriendshipGraph:
             self._compile()
         user_id = int(user_id)
         return user_id in self._overlay_nodes or self._compiled_slot(user_id) >= 0
-
-    @property
-    def node_count(self) -> int:
-        """Number of users in the graph."""
-        if not self._clean():
-            self._compile()
-        return int(self._c_nodes.shape[0]) + len(self._overlay_nodes)
 
     @property
     def edge_count(self) -> int:

@@ -323,23 +323,11 @@ class ProfileStore:
     def cohort_codes(self) -> np.ndarray:
         return self._cohort.values()
 
-    def searchable_mask(self) -> np.ndarray:
-        return self._searchable.values()
-
     def friend_list_public_mask(self) -> np.ndarray:
         return self._friend_list_public.values()
 
-    def terminated_at_values(self) -> np.ndarray:
-        return self._terminated_at.values()
-
     def alive_mask(self) -> np.ndarray:
         return self._terminated_at.values() == _ALIVE
-
-    def background_friend_counts(self) -> np.ndarray:
-        return self._background_friends.values()
-
-    def background_like_counts(self) -> np.ndarray:
-        return self._background_likes.values()
 
     def is_terminated(self, user_id: int) -> bool:
         # direct backing-array read, same rationale as the ProfileView

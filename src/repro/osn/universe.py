@@ -163,26 +163,6 @@ class PageUniverse:
             pages.extend(segment.tolist())
         return pages
 
-    def sample_likes(
-        self,
-        rng: RngStream,
-        total: int,
-        mix: LikeMix,
-        country: str,
-        spam_key: str = None,
-    ) -> List[PageId]:
-        """Draw ``total`` distinct pages for a user in ``country``.
-
-        ``spam_key`` selects the user's own operator segment; spam draws
-        split ``own_spam_fraction`` / remainder between it and the shared
-        exchange segment.  Segment shortfalls (a tiny regional pool, say)
-        spill into the global segment so the requested count is honoured
-        whenever the universe is big enough overall.
-        """
-        return self.sample_likes_array(
-            rng, total, mix, country, spam_key=spam_key
-        ).tolist()
-
     def sample_likes_array(
         self,
         rng: RngStream,
@@ -191,11 +171,18 @@ class PageUniverse:
         country: str,
         spam_key: str = None,
     ) -> np.ndarray:
-        """Array twin of :meth:`sample_likes`: same draws, same order.
+        """Draw ``total`` distinct pages for one user in ``country``.
 
-        The segments are int64 arrays, so each per-segment sample is an
-        array slice and the user's page set is one concatenation — no
-        per-element Python objects until a caller asks for them.
+        ``spam_key`` selects the user's own operator segment; spam draws
+        split ``own_spam_fraction`` / remainder between it and the shared
+        exchange segment.  Segment shortfalls (a tiny regional pool, say)
+        spill into the global segment so the requested count is honoured
+        whenever the universe is big enough overall.
+
+        The per-user reference for :meth:`sample_likes_many`, which the
+        generators call: the segments are int64 arrays, so each
+        per-segment sample is an array slice and the user's page set is
+        one concatenation.
         """
         require(total >= 0, "total must be >= 0")
         parts = [
@@ -264,8 +251,8 @@ class PageUniverse:
         ``totals[i]`` pages are drawn for the user in ``countries[i]``; all
         users share ``mix`` and ``spam_key``.  Draws are made user-by-user in
         order from ``rng``, so each per-user array is bit-identical (values
-        and order) to calling :meth:`sample_likes` for that user — this is
-        the batch entry point the generators use.
+        and order) to calling :meth:`sample_likes_array` for that user —
+        this is the batch entry point the generators use.
 
         The batching is real, not just a loop: every sample in the cohort
         consumes ``len(segment)`` uniforms, so the whole cohort's uniforms
@@ -297,9 +284,9 @@ class PageUniverse:
                 if chunk_draws + user_draws <= _DRAW_CHUNK or chunk_draws == 0:
                     chunk_draws += user_draws
                     continue
-            if chunk_draws == 0:
-                break
-            keys_block = generator.random(chunk_draws)
+            # A final chunk of zero-draw users (total 0) still yields
+            # their empty results, without touching the stream.
+            keys_block = generator.random(chunk_draws) if chunk_draws else np.empty(0)
             np.log(keys_block, out=keys_block)
             pos = 0
             for plan in plans[chunk_start:i]:

@@ -1,6 +1,6 @@
 """Replay a checkpoint WAL into the store without a finished dataset.
 
-Besides a finished dataset/JSONL file, a
+Besides a finished in-memory dataset, a
 :class:`~repro.store.store.HoneypotStore` can be populated by
 :func:`ingest_journal`, which replays a checkpoint WAL
 (:mod:`repro.ckpt.journal`) into store tables.  The journal holds every
@@ -11,7 +11,7 @@ Campaign metadata that only exists in study state (page id, cost,
 precise monitored window) is filled from the
 :class:`~repro.honeypot.study.StudyConfig` when given and left at honest
 defaults otherwise; this is the warm/incremental inspection path, while
-dataset/JSONL ingest is the byte-identical one.
+dataset ingest is the byte-identical one.
 :func:`repair_from_journal` uses the same replay to rebuild a damaged
 store.
 """

@@ -4,9 +4,9 @@
 the in-memory :class:`~repro.honeypot.storage.HoneypotDataset`: the same
 records, held in indexed tables instead of dicts, so the analyses can run
 as SQL/incremental queries over millions of liker records without holding
-the corpus in memory, and an ingest stream (a finished dataset, a study
-JSONL file, a checkpoint WAL) lands in batched
-transactions instead of one giant object graph.
+the corpus in memory, and an ingest stream (a finished dataset or a
+checkpoint WAL) lands in batched transactions instead of one giant
+object graph.
 
 Guarantees:
 
@@ -41,7 +41,6 @@ from repro.honeypot.storage import (
     HoneypotDataset,
     LikeObservation,
     LikerRecord,
-    iter_jsonl_rows,
     write_jsonl_rows,
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -255,22 +254,6 @@ class HoneypotStore:
     def ingest_dataset(self, dataset: HoneypotDataset) -> int:
         """Ingest a finished in-memory dataset; returns rows written."""
         return self.ingest_rows(dataset.iter_rows())
-
-    def ingest_jsonl(self, path: Path, salvage: bool = False) -> int:
-        """Stream a ``study.jsonl`` file into the store, line by line.
-
-        Never materialises a :class:`HoneypotDataset` — rows are parsed
-        one at a time (sharing the corruption contract of
-        :meth:`HoneypotDataset.from_jsonl`, including ``salvage``) and
-        land in batched transactions, so ingesting a 100x-scale corpus
-        costs one row of memory at a time plus the batch buffers.
-        """
-        return self.ingest_rows(
-            row
-            for row, _ in iter_jsonl_rows(
-                Path(path), salvage=salvage, metrics=self.metrics
-            )
-        )
 
     def _flush_buffers(
         self,

@@ -1,11 +1,14 @@
-"""Scalar-vs-bulk equivalence for the OSN write paths.
+"""Scalar-vs-cohort equivalence for the OSN write paths.
 
-The bulk APIs (`like_pages_bulk`, `like_page_many`, `add_friendships_bulk`,
-`LikeLog.record_many`) exist purely for speed; their contract is that final
-network state is identical to looping the scalar calls in the same order.
+Each kind of write has two paths: the scalar one the event loop calls
+(`like_page`, `add_friendship`, `LikeLog.record`) and the cohort one the
+world generators call (`like_pages_fresh_many`, `add_friendships_arrays`,
+`LikeLog.record_arrays`).  The cohort paths exist purely for speed; their
+contract is that final network state is identical to looping the scalar
+calls in the same order, and that a rejected batch applies nothing.
 These tests pin that contract at the unit level and end-to-end: a seeded
-small study must produce the identical dataset whether the generators write
-through the bulk fast path or through per-item scalar calls.
+small study must produce the identical dataset whether the generators
+write through the cohort paths or through per-item scalar calls.
 """
 
 from __future__ import annotations
@@ -48,7 +51,13 @@ def _like_state(network: SocialNetwork, users, pages) -> tuple:
     )
 
 
+def _fresh(page_lists) -> list:
+    return [np.asarray(pages, dtype=np.int64) for pages in page_lists]
+
+
 class TestLikePagesBulk:
+    """`like_pages_fresh_many`, the cohort like path."""
+
     def test_matches_scalar_loop(self):
         scalar_net, users, pages = _network_with(3, 10)
         bulk_net, bulk_users, bulk_pages = _network_with(3, 10)
@@ -56,93 +65,72 @@ class TestLikePagesBulk:
         for user_id, batch in zip(users, batches):
             for page_id in batch:
                 scalar_net.like_page(user_id, page_id, time=4)
-        for user_id, batch in zip(bulk_users, batches):
-            bulk_net.like_pages_bulk(user_id, batch, time=4)
+        added = bulk_net.like_pages_fresh_many(bulk_users, _fresh(batches), time=4)
+        assert added == sum(len(batch) for batch in batches)
         assert _like_state(scalar_net, users, pages) == _like_state(
             bulk_net, bulk_users, bulk_pages
         )
 
-    def test_skips_duplicates_and_already_liked(self):
-        network, (alice, *_), pages = _network_with(1, 4)
-        network.like_page(alice, pages[0], time=0)
-        added = network.like_pages_bulk(
-            alice, [pages[0], pages[1], pages[1], pages[2]], time=1
-        )
-        assert added == 2
-        assert sorted(network.user_liked_page_ids(alice)) == sorted(pages[:3])
-        # the pre-existing like kept its original timestamp
-        assert network.likes.for_page(pages[0])[0].time == 0
+    def test_keeps_materialised_liker_sets_coherent(self):
+        # A scalar like materialises the page's liker set; a later cohort
+        # write onto that page must land in the set too, or like_page
+        # would record a duplicate like.
+        network, (alice, bob), pages = _network_with(2, 2)
+        assert network.like_page(alice, pages[0], time=0)
+        network.like_pages_fresh_many([bob], _fresh([pages]), time=1)
+        assert not network.like_page(bob, pages[0], time=2)
+        assert network.page_liker_ids(pages[0]) == [alice, bob]
+        assert len(network.likes) == 3
 
     def test_rejects_unknown_page_and_bad_time(self):
         network, (alice, *_), pages = _network_with(1, 2)
         with pytest.raises(ValidationError):
-            network.like_pages_bulk(alice, [pages[0], 424242], time=0)
+            network.like_pages_fresh_many([alice], _fresh([[pages[0], 424242]]), time=0)
         with pytest.raises(ValidationError):
-            network.like_pages_bulk(alice, pages, time=-1)
+            network.like_pages_fresh_many([alice], _fresh([pages]), time=-1)
 
-    def test_failed_batch_applies_nothing(self):
-        # A rejected batch must not leave the liker sets and the like log
-        # disagreeing: either every valid page before the bad one is fully
-        # recorded, or none is.  We guarantee the stronger form — nothing.
-        network, (alice, *_), pages = _network_with(1, 3)
-        with pytest.raises(ValidationError):
-            network.like_pages_bulk(alice, [pages[0], 424242, pages[1]], time=0)
-        assert network.user_liked_page_ids(alice) == set()
-        assert all(network.page_liker_ids(p) == [] for p in pages)
-        assert len(network.likes) == 0
+    def test_rejects_unknown_user(self):
+        network, (alice, *_), pages = _network_with(1, 2)
+        with pytest.raises(ValidationError, match="unknown user 999999"):
+            network.like_pages_fresh_many(
+                [alice, 999999], _fresh([pages[:1], pages[1:]]), time=0
+            )
 
     def test_rejects_terminated_user(self):
         network, (alice, *_), pages = _network_with(1, 2)
         network.terminate_account(alice, time=5)
         with pytest.raises(ValidationError):
-            network.like_pages_bulk(alice, pages, time=6)
+            network.like_pages_fresh_many([alice], _fresh([pages]), time=6)
 
-    def test_like_page_many_matches_scalar(self):
-        scalar_net, users, pages = _network_with(2, 5)
-        bulk_net, bulk_users, bulk_pages = _network_with(2, 5)
-        events = [
-            (0, 0, 1), (1, 0, 1), (0, 1, 2), (0, 0, 3),  # last is a repeat
+    def test_failed_batch_applies_nothing(self):
+        # A rejected batch must not leave the liker sets and the like log
+        # disagreeing: either every valid page before the bad one is fully
+        # recorded, or none is.  We guarantee the stronger form — nothing.
+        network, (alice, bob, carol), pages = _network_with(3, 3)
+        network.like_page(carol, pages[0], time=0)  # materialises a liker set
+        network.add_friendship(alice, bob)
+        network.terminate_account(carol, time=1)
+        before = _like_state(network, [alice, bob, carol], pages)
+        bad_batches = [
+            ([alice, bob], [pages, [pages[0], 424242]], 2),  # unknown page
+            ([alice, carol], [pages, pages[1:]], 2),  # terminated user
+            ([alice, bob], [pages, pages], -1),  # negative time
         ]
-        for u, p, t in events:
-            scalar_net.like_page(users[u], pages[p], time=t)
-        added = bulk_net.like_page_many(
-            LikeEvent(user_id=bulk_users[u], page_id=bulk_pages[p], time=t)
-            for u, p, t in events
-        )
-        assert added == 3
-        assert _like_state(scalar_net, users, pages) == _like_state(
-            bulk_net, bulk_users, bulk_pages
-        )
+        for user_ids, page_lists, time in bad_batches:
+            with pytest.raises(ValidationError):
+                network.like_pages_fresh_many(user_ids, _fresh(page_lists), time)
+            assert _like_state(network, [alice, bob, carol], pages) == before
+            assert network.graph.edge_count == 1
+        # the materialised set did not absorb the rejected likes either
+        assert network.like_page(alice, pages[0], time=3)
 
-
-class TestRecordMany:
-    def test_matches_scalar_records(self):
-        scalar_log, bulk_log = LikeLog(), LikeLog()
-        for page_id in (10, 11, 12):
-            scalar_log.record(LikeEvent(user_id=1, page_id=page_id, time=2))
-        bulk_log.record_many(1, [10, 11, 12], 2)
-        for page_id in (10, 11, 12):
-            assert scalar_log.for_page(page_id) == bulk_log.for_page(page_id)
-        assert scalar_log.for_user(1) == bulk_log.for_user(1)
-        assert len(scalar_log) == len(bulk_log) == 3
-
-    def test_rejects_out_of_order_and_negative_time(self):
-        log = LikeLog()
-        log.record_many(1, [10], 5)
-        with pytest.raises(ValidationError):
-            log.record_many(2, [10], 4)
-        with pytest.raises(ValidationError):
-            log.record_many(2, [11], -1)
-
-    def test_failed_batch_leaves_log_untouched(self):
-        log = LikeLog()
-        log.record_many(1, [10], 5)
-        with pytest.raises(ValidationError):
-            # page 11 would be fine; page 10 violates chronology
-            log.record_many(2, [11, 10], 4)
-        assert log.for_page(11) == ()
-        assert log.for_user(2) == ()
-        assert len(log) == 1
+    def test_empty_batch(self):
+        network, (alice, bob), pages = _network_with(2, 1)
+        assert network.like_pages_fresh_many([], [], time=0) == 0
+        empty = _fresh([[], []])
+        assert network.like_pages_fresh_many([alice, bob], empty, time=0) == 0
+        assert len(network.likes) == 0
+        assert network.page_liker_ids(pages[0]) == []
 
 
 class TestRecordArrays:
@@ -174,6 +162,14 @@ class TestRecordArrays:
         assert log.for_page(11) == ()
         assert log.for_user(2) == ()
         assert len(log) == 1
+
+    def test_rejects_negative_time(self):
+        log = LikeLog()
+        with pytest.raises(ValidationError):
+            log.record_arrays(
+                np.array([2], dtype=np.int64), np.array([11], dtype=np.int64), -1
+            )
+        assert len(log) == 0
 
     def test_equal_time_batch_accepted_below_high_water_mark(self):
         # time == a page's newest event is chronological; the vectorised
@@ -342,8 +338,8 @@ class TestBatchedSamplerEquivalence:
         # Force many tiny chunks: per-user plans must split the uniform
         # blocks exactly where the one-big-block path would.
         universe = _test_universe()
-        totals = [12, 30, 5, 22, 9, 18]
-        countries = ["US", "IN", "FR", "US", "IN", "US"]
+        totals = [12, 30, 5, 22, 9, 18, 0]
+        countries = ["US", "IN", "FR", "US", "IN", "US", "IN"]
         unchunked = universe.sample_likes_many(
             RngStream(31, "c"), totals, CLICKWORKER_MIX, countries,
             spam_key="clickworker",
@@ -353,19 +349,29 @@ class TestBatchedSamplerEquivalence:
             RngStream(31, "c"), totals, CLICKWORKER_MIX, countries,
             spam_key="clickworker",
         )
+        assert len(chunked) == len(unchunked) == len(totals)
         for got, expected in zip(chunked, unchunked):
             assert np.array_equal(got, expected)
 
 
+def _arrays(pairs) -> tuple:
+    return (
+        np.array([a for a, _ in pairs], dtype=np.int64),
+        np.array([b for _, b in pairs], dtype=np.int64),
+    )
+
+
 class TestAddFriendshipsBulk:
+    """`add_friendships_arrays`, the cohort friendship path."""
+
     def test_matches_scalar_loop(self):
         scalar_net, users, _ = _network_with(6, 1)
         bulk_net, bulk_users, _ = _network_with(6, 1)
         pairs = [(0, 1), (1, 2), (0, 1), (3, 4), (2, 0)]
         for a, b in pairs:
             scalar_net.add_friendship(users[a], users[b])
-        added = bulk_net.add_friendships_bulk(
-            (bulk_users[a], bulk_users[b]) for a, b in pairs
+        added = bulk_net.add_friendships_arrays(
+            *_arrays([(bulk_users[a], bulk_users[b]) for a, b in pairs])
         )
         assert added == 4  # one duplicate pair
         assert scalar_net.graph.edge_count == bulk_net.graph.edge_count
@@ -378,56 +384,28 @@ class TestAddFriendshipsBulk:
     def test_rejects_self_loops_and_unknown_users(self):
         network, users, _ = _network_with(2, 1)
         with pytest.raises(ValidationError):
-            network.add_friendships_bulk([(users[0], users[0])])
+            network.add_friendships_arrays(*_arrays([(users[0], users[0])]))
         with pytest.raises(ValidationError):
-            network.add_friendships_bulk([(users[0], 999999)])
+            network.add_friendships_arrays(*_arrays([(users[0], 999999)]))
 
     def test_failed_batch_adds_no_edges(self):
         network, users, _ = _network_with(3, 1)
         with pytest.raises(ValidationError):
-            network.add_friendships_bulk(
-                [(users[0], users[1]), (users[2], users[2])]
+            network.add_friendships_arrays(
+                *_arrays([(users[0], users[1]), (users[2], users[2])])
             )
         assert network.graph.edge_count == 0
         assert all(network.graph.neighbors(u) == set() for u in users)
 
 
-def _scalar_like_pages_bulk(self, user_id, page_ids, time):
-    """The pre-batching write path: one `like_page` call per page."""
-    added = 0
-    for page_id in page_ids:
-        if self.like_page(user_id, page_id, time):
-            added += 1
-    return added
-
-
-def _scalar_add_friendships_bulk(self, pairs):
-    before = self.graph.edge_count
-    for a, b in pairs:
-        self.add_friendship(a, b)
-    return self.graph.edge_count - before
-
-
-def _scalar_like_pages_fresh(self, user_id, page_ids, time):
-    """The pre-columnar fresh path: one `like_page` call per page."""
-    added = 0
-    for page_id in np.asarray(page_ids, dtype=np.int64).tolist():
-        if self.like_page(user_id, page_id, time):
-            added += 1
-    return added
-
-
 def _scalar_like_pages_fresh_many(self, user_ids, page_lists, time):
-    """The pre-cohort-batching path: one `like_pages_fresh` per user.
-
-    Dispatches through ``self`` so the (also monkeypatched) per-user
-    scalar fallback runs underneath — the study then writes every like
-    through `like_page`, the fully scalar path.
-    """
-    total = 0
+    """The fully scalar like path: one `like_page` call per page."""
+    added = 0
     for user_id, pages in zip(user_ids, page_lists):
-        total += self.like_pages_fresh(user_id, pages, time)
-    return total
+        for page_id in np.asarray(pages, dtype=np.int64).tolist():
+            if self.like_page(user_id, page_id, time):
+                added += 1
+    return added
 
 
 def _scalar_add_friendships_arrays(self, a, b):
@@ -456,21 +434,14 @@ def _study_fingerprint(config: StudyConfig) -> dict:
 
 
 class TestSeededStudyEquivalence:
-    """A seeded small study is identical via the scalar and bulk write paths."""
+    """A seeded small study is identical via the scalar and cohort write paths."""
 
     def test_dataset_identical(self, monkeypatch):
         config = StudyConfig.small(seed=991)
         bulk = _study_fingerprint(config)
-        # Swap out every batch/columnar write entry point the generators
-        # use — cohort-wide like appends, per-user fresh likes, and array
-        # edge wiring all collapse to per-item scalar calls.
-        monkeypatch.setattr(SocialNetwork, "like_pages_bulk", _scalar_like_pages_bulk)
-        monkeypatch.setattr(
-            SocialNetwork, "add_friendships_bulk", _scalar_add_friendships_bulk
-        )
-        monkeypatch.setattr(
-            SocialNetwork, "like_pages_fresh", _scalar_like_pages_fresh
-        )
+        # Swap out the two cohort write entry points the generators use:
+        # cohort-wide like appends and array edge wiring both collapse to
+        # per-item scalar calls.
         monkeypatch.setattr(
             SocialNetwork, "like_pages_fresh_many", _scalar_like_pages_fresh_many
         )

@@ -75,37 +75,46 @@ class TestBuildUniverse:
 
 
 class TestSampleLikes:
+    """Behaviour of `sample_likes_many`, the cohort sampler the generators call."""
+
     def test_distinct_and_sized(self, universe, rng):
-        likes = universe.sample_likes(rng, 60, CLICKWORKER_MIX, "US", spam_key="clickworker")
-        assert len(likes) == 60
-        assert len(set(likes)) == 60
+        totals = [60, 0, 25, 60]
+        cohort = universe.sample_likes_many(
+            rng, totals, CLICKWORKER_MIX, ["US", "IN", "TR", "ZZ"],
+            spam_key="clickworker",
+        )
+        assert [len(likes) for likes in cohort] == totals
+        for likes in cohort:
+            assert len(set(likes.tolist())) == len(likes)
 
     def test_zero(self, universe, rng):
-        assert universe.sample_likes(rng, 0, CLICKWORKER_MIX, "US") == []
+        assert universe.sample_likes_many(rng, [], CLICKWORKER_MIX, []) == []
+        (likes,) = universe.sample_likes_many(rng, [0], CLICKWORKER_MIX, ["US"])
+        assert likes.tolist() == []
 
     def test_regional_pages_used(self, universe, rng):
         mix = LikeMix(global_frac=0.0, regional_frac=1.0, spam_frac=0.0)
-        likes = universe.sample_likes(rng, 10, mix, "TR")
-        assert set(likes) <= set(universe.regional_pages("TR"))
+        (likes,) = universe.sample_likes_many(rng, [10], mix, ["TR"])
+        assert set(likes.tolist()) <= set(universe.regional_pages("TR"))
 
     def test_unknown_country_spills_to_global(self, universe, rng):
         mix = LikeMix(global_frac=0.0, regional_frac=1.0, spam_frac=0.0)
-        likes = universe.sample_likes(rng, 10, mix, "ZZ")
-        assert set(likes) <= set(universe.global_pages)
+        (likes,) = universe.sample_likes_many(rng, [10], mix, ["ZZ"])
+        assert set(likes.tolist()) <= set(universe.global_pages)
 
     def test_spam_key_prefers_own_segment(self, universe, rng):
         mix = LikeMix(global_frac=0.0, regional_frac=0.0, spam_frac=1.0)
-        likes = universe.sample_likes(rng, 20, mix, "US", spam_key="alms")
+        (likes,) = universe.sample_likes_many(rng, [20], mix, ["US"], spam_key="alms")
         own = set(universe.spam_segment("alms"))
         shared = set(universe.spam_segment(SHARED_SPAM_KEY))
-        assert set(likes) <= own | shared
-        assert len(set(likes) & own) > 0
+        assert set(likes.tolist()) <= own | shared
+        assert len(set(likes.tolist()) & own) > 0
 
     def test_no_spam_key_uses_shared_only(self, universe, rng):
         mix = LikeMix(global_frac=0.0, regional_frac=0.0, spam_frac=1.0)
-        likes = universe.sample_likes(rng, 10, mix, "US")
+        (likes,) = universe.sample_likes_many(rng, [10], mix, ["US"])
         shared = set(universe.spam_segment(SHARED_SPAM_KEY))
-        assert set(likes) <= shared
+        assert set(likes.tolist()) <= shared
 
     def test_two_operators_disjoint_own_segments(self, universe, rng):
         assert not (

@@ -109,17 +109,6 @@ class TestIngest:
             with pytest.raises(StoreError, match="unknown ingest row type"):
                 store.ingest_rows(iter([{"type": "likerish"}]))
 
-    def test_ingest_jsonl_streams_the_same_rows(
-        self, tmp_path, small_dataset
-    ):
-        source = tmp_path / "study.jsonl"
-        small_dataset.to_jsonl(source)
-        with HoneypotStore.create(tmp_path / "streamed.sqlite") as store:
-            store.ingest_jsonl(source)
-            out = tmp_path / "streamed.jsonl"
-            store.to_jsonl(out)
-        assert out.read_bytes() == source.read_bytes()
-
 
 class TestRecordAccessors:
     def test_campaign_round_trips_exactly(self, store, small_dataset):

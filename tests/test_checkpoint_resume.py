@@ -7,9 +7,9 @@ deterministic sections of the metrics manifest — must equal those of an
 uninterrupted same-seed run.  Both the plain and ``--chaos`` crawl paths
 are exercised, plus a double-kill chain (crash the resume, resume again).
 
-Kill points are injected via ``REPRO_CKPT_CRASH_AFTER=<n>``: the child
-SIGKILLs *itself* right after its n-th durably journaled record (see
-``repro.ckpt.journal``).  That is a real, uncatchable SIGKILL — no flush,
+Kill points are injected via ``REPRO_FAILPOINTS=ckpt.journal.record=kill@<n>``:
+the child SIGKILLs *itself* right after its n-th durably journaled record
+(see ``repro.ckpt.journal``).  That is a real, uncatchable SIGKILL — no flush,
 no atexit — but it lands at a reproducible record boundary instead of a
 racy wall-clock timer, so the harness is deterministic across machines.
 """
@@ -37,15 +37,9 @@ def cli_env(crash_after=None, extra_env=None):
     """Subprocess environment with the injection knobs explicitly scrubbed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    for name in (
-        "REPRO_FAILPOINTS",
-        "REPRO_CKPT_CRASH_AFTER",
-        "REPRO_CKPT_STALL_AFTER",
-        "REPRO_CKPT_STALL_SECONDS",
-    ):
-        env.pop(name, None)
+    env.pop("REPRO_FAILPOINTS", None)
     if crash_after is not None:
-        env["REPRO_CKPT_CRASH_AFTER"] = str(crash_after)
+        env["REPRO_FAILPOINTS"] = f"ckpt.journal.record=kill@{crash_after}"
     if extra_env:
         env.update({k: str(v) for k, v in extra_env.items()})
     return env

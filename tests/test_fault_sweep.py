@@ -44,12 +44,7 @@ SMALL = ["--scale", "0.02", "--seed", "11", "--population", "250"]
 
 #: Injection envs scrubbed from every subprocess so only the scenario's
 #: own spec is armed (resume legs run with nothing armed at all).
-INJECTION_ENVS = (
-    failpoints.ENV_VAR,
-    failpoints.CRASH_AFTER_ENV,
-    failpoints.STALL_AFTER_ENV,
-    failpoints.STALL_SECONDS_ENV,
-)
+INJECTION_ENVS = (failpoints.ENV_VAR,)
 
 
 def cli(cwd: Path, args, env_extra=None, timeout=240):

@@ -111,21 +111,12 @@ class TestHit:
 
 
 class TestEnvInstall:
-    def test_env_var_and_legacy_aliases_translate(self):
+    def test_env_var_arms_its_specs(self):
         armed = failpoints.install_from_env(
-            {
-                failpoints.ENV_VAR: "store.open=count",
-                failpoints.CRASH_AFTER_ENV: "12",
-                failpoints.STALL_AFTER_ENV: "3",
-                failpoints.STALL_SECONDS_ENV: "0.5",
-            }
+            {failpoints.ENV_VAR: "store.open=count, ckpt.journal.record=kill@12"}
         )
         rendered = sorted(s.render() for s in armed)
-        assert rendered == [
-            "ckpt.journal.record=kill@12",
-            "ckpt.journal.record=stall:0.5@3",
-            "store.open=count@1",
-        ]
+        assert rendered == ["ckpt.journal.record=kill@12", "store.open=count@1"]
 
     def test_empty_environment_arms_nothing(self):
         assert failpoints.install_from_env({}) == []
