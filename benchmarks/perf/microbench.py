@@ -10,15 +10,21 @@ the cohort APIs is visible in isolation from the full study:
 * ``LikeLog.record`` loop vs ``LikeLog.record_arrays``,
 * ``add_friendship`` loop vs ``add_friendships_arrays``,
 * ``weighted_sample_positive`` with and without the
-  ``k == len(population)`` short-circuit being applicable.
+  ``k == len(population)`` short-circuit being applicable,
+* ``dataclasses.asdict`` vs ``record_row`` over every record of one
+  small-study dataset (the row encoding the journal, the JSONL export and
+  the store share), in values/s.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 
 import numpy as np
 
+from repro.honeypot.storage import record_row
+from repro.honeypot.study import HoneypotStudy, StudyConfig
 from repro.osn.events import LikeEvent, LikeLog
 from repro.osn.network import SocialNetwork
 from repro.osn.profile import Gender
@@ -132,11 +138,47 @@ def bench_weighted_sampling() -> None:
     )
 
 
+def _count_values(value) -> int:
+    if isinstance(value, dict):
+        return sum(_count_values(item) for item in value.values())
+    if isinstance(value, list):
+        return sum(_count_values(item) for item in value)
+    return 1
+
+
+def bench_row_encoding(dataset=None, repeats: int = 3) -> dict:
+    """Encode every record of ``dataset`` (default: one small study)
+    with ``asdict`` and with ``record_row``; best of ``repeats``.
+
+    Returns ``{"records", "values", "<encoder>_values_per_second", ...}``.
+    """
+    if dataset is None:
+        dataset = HoneypotStudy(StudyConfig.small()).run().dataset
+    records = [
+        *dataset.campaigns.values(), *dataset.likers.values(), *dataset.baseline
+    ]
+    values = sum(_count_values(record_row(record)) for record in records)
+    print(f"row encoding: {len(records)} records, {values} values")
+    result = {"records": len(records), "values": values}
+    for label, encode in (("asdict", asdict), ("record_row", record_row)):
+        def encode_all(encode=encode) -> None:
+            for record in records:
+                encode(record)
+        seconds = min(_timed(label, encode_all) for _ in range(repeats))
+        result[f"{label}_values_per_second"] = int(values / seconds)
+    print(
+        f"  asdict {result['asdict_values_per_second']:,} values/s, "
+        f"record_row {result['record_row_values_per_second']:,} values/s"
+    )
+    return result
+
+
 def main() -> None:
     bench_like_writes()
     bench_like_log()
     bench_friendships()
     bench_weighted_sampling()
+    bench_row_encoding()
 
 
 if __name__ == "__main__":

@@ -42,6 +42,9 @@ committed so every PR leaves a perf trajectory:
   fsync count, and snapshot bytes,
 * ``failpoints`` — the per-chokepoint cost of the *disabled* failpoint
   framework (nanoseconds per ``hit`` with nothing armed),
+* ``row_encoding`` — ``dataclasses.asdict`` vs ``record_row`` over every
+  record of the plain run's dataset, in values/s
+  (``benchmarks.perf.microbench.bench_row_encoding``),
 * ``scale_build`` — scaled-world build wall time, entity counts, and peak
   RSS.
 
@@ -71,6 +74,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from benchmarks.perf.microbench import bench_row_encoding
 from repro.ckpt import CheckpointConfig
 from repro.core.experiment import HoneypotExperiment
 from repro.honeypot.study import HoneypotStudy, StudyConfig
@@ -388,6 +392,9 @@ def main() -> int:
     print(f"  {failpoint_bench['disabled_hit_ns']:.1f}ns per disabled hit "
           f"({failpoint_bench['registered']} registered)", flush=True)
 
+    print("row encoding pass: asdict vs record_row ...", flush=True)
+    row_encoding = bench_row_encoding(experiment.artifacts.dataset)
+
     print(f"pass 6/6: --scale {SCALE_BUILD_N:g} build (world only) ...",
           flush=True)
     scale_build = _run_scale_build(SCALE_BUILD_N)
@@ -409,6 +416,7 @@ def main() -> int:
         "store": store,
         "lint": lint,
         "failpoints": failpoint_bench,
+        "row_encoding": row_encoding,
         "scale_build": scale_build,
         "metrics_manifest": METRICS_PATH.name,
         "top_functions": _top_functions(stats),

@@ -13,9 +13,13 @@ attributes, per-campaign observations) without any out-of-band fields.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+    get_args, get_origin, get_type_hints,
+)
 
 from repro import failpoints
 from repro.util.durable import fsync_dir, fsync_handle
@@ -86,7 +90,9 @@ class CampaignRecord:
     terminated_liker_ids: List[int] = field(default_factory=list)
     inactive: bool = False
     removed_like_count: int = 0  # likes purged by enforcement (Section 5 follow-up)
-    total_cost: float = 0.0  # ad spend, or the farm package price (paid up front)
+    # Ad spend, or the farm package price (paid up front); None when unknown
+    # (a store replayed from a checkpoint journal has no cost record).
+    total_cost: Optional[float] = 0.0
 
     @property
     def liker_ids(self) -> List[int]:
@@ -149,6 +155,60 @@ class BaselineRecord:
     declared_like_count: int
 
 
+#: Field types a row holds as-is: immutable, so sharing them never aliases.
+_ATOMS = (int, float, str, bool, type(None))
+
+
+def _is_atom(hint) -> bool:
+    if get_origin(hint) is Union:
+        return all(_is_atom(arg) for arg in get_args(hint))
+    return hint in _ATOMS
+
+
+def _field_copier(cls: type, name: str, hint) -> Optional[Callable]:
+    """How :func:`record_row` copies one field: ``None`` shares an atom,
+    ``list`` copies a list of atoms, and a list of records encodes each."""
+    if _is_atom(hint):
+        return None
+    if get_origin(hint) is list:
+        (item,) = get_args(hint) or (object,)
+        if _is_atom(item):
+            return list
+        if is_dataclass(item):
+            return lambda items: [record_row(each) for each in items]
+    raise TypeError(
+        f"record_row cannot encode {cls.__name__}.{name} of type {hint!r}"
+    )
+
+
+@lru_cache(maxsize=None)
+def _row_plan(cls: type) -> Tuple[Tuple[str, Optional[Callable]], ...]:
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, _field_copier(cls, f.name, hints[f.name]))
+        for f in fields(cls)
+    )
+
+
+def record_row(record) -> Dict:
+    """One dataset record as a plain row dict — the one record → row path.
+
+    The journal, the JSONL export and the store all encode records here.
+    The row equals the stdlib's recursive dataclass-to-dict conversion:
+    the same keys in field order and the same values, with
+    :class:`LikeObservation` items as ``{"observed_at", "user_id"}`` dicts.
+    Lists are fresh shallow copies, so a row never aliases its record, but
+    no leaf goes through ``copy.deepcopy``.  The plan comes from
+    :func:`dataclasses.fields` once per class, so every field is encoded;
+    a field type with no copy rule is a :class:`TypeError` on first use
+    rather than a silently shared value.
+    """
+    return {
+        name: getattr(record, name) if copy is None else copy(getattr(record, name))
+        for name, copy in _row_plan(type(record))
+    }
+
+
 @dataclass
 # repro-lint: allow-CKPT001 built in one shot by _collect() after the crawl barrier, never mutated across a barrier; its inputs (monitor snapshots) are journaled write-ahead
 class HoneypotDataset:
@@ -196,15 +256,15 @@ class HoneypotDataset:
             "global_country": self.global_country,
         }
         for campaign in self.campaigns.values():
-            row = asdict(campaign)
+            row = record_row(campaign)
             row["type"] = "campaign"
             yield row
         for liker in self.likers.values():
-            row = asdict(liker)
+            row = record_row(liker)
             row["type"] = "liker"
             yield row
         for record in self.baseline:
-            row = asdict(record)
+            row = record_row(record)
             row["type"] = "baseline"
             yield row
 

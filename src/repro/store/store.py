@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -41,6 +40,7 @@ from repro.honeypot.storage import (
     HoneypotDataset,
     LikeObservation,
     LikerRecord,
+    record_row,
     write_jsonl_rows,
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -482,40 +482,46 @@ class HoneypotStore:
             total_cost=total_cost,
         )
 
-    def _liker_record(self, row: Sequence) -> LikerRecord:
-        (user_id, gender, age_bracket, country, friend_list_public,
-         declared_friend_count, visible_friend_ids, liked_page_ids,
-         declared_like_count, terminated, crawl_status, failed_fields) = row
-        memberships = self._db.execute(
-            "SELECT campaign_id FROM liker_campaigns WHERE user_id = ? "
-            "ORDER BY position",
-            (user_id,),
-        ).fetchall()
-        self._read("liker_campaigns", len(memberships))
-        return LikerRecord(
-            user_id=user_id,
-            gender=gender,
-            age_bracket=age_bracket,
-            country=country,
-            friend_list_public=bool(friend_list_public),
-            declared_friend_count=declared_friend_count,
-            visible_friend_ids=json.loads(visible_friend_ids),
-            liked_page_ids=json.loads(liked_page_ids),
-            declared_like_count=declared_like_count,
-            campaign_ids=[c for (c,) in memberships],
-            terminated=bool(terminated),
-            crawl_status=crawl_status,
-            failed_fields=json.loads(failed_fields),
-        )
-
     def iter_likers(self) -> Iterator[LikerRecord]:
-        """Liker records in first-crawled (insertion) order, streamed."""
+        """Liker records in first-crawled (insertion) order, streamed.
+
+        Two cursors walk in step: the likers in ``seq`` order and, in one
+        query, every campaign membership in the same liker order.
+        """
+        memberships = self._db.execute(
+            "SELECT lc.user_id, lc.campaign_id FROM liker_campaigns AS lc "
+            "JOIN likers AS l ON l.user_id = lc.user_id "
+            "ORDER BY l.seq, lc.position"
+        )
+        pending = next(memberships, None)
         cursor = self._db.execute(
             f"SELECT {', '.join(_LIKER_COLUMNS)} FROM likers ORDER BY seq"
         )
-        for row in cursor:
+        for (user_id, gender, age_bracket, country, friend_list_public,
+             declared_friend_count, visible_friend_ids, liked_page_ids,
+             declared_like_count, terminated, crawl_status,
+             failed_fields) in cursor:
             self._read("likers", 1)
-            yield self._liker_record(row)
+            campaign_ids = []
+            while pending is not None and pending[0] == user_id:
+                campaign_ids.append(pending[1])
+                pending = next(memberships, None)
+            self._read("liker_campaigns", len(campaign_ids))
+            yield LikerRecord(
+                user_id=user_id,
+                gender=gender,
+                age_bracket=age_bracket,
+                country=country,
+                friend_list_public=bool(friend_list_public),
+                declared_friend_count=declared_friend_count,
+                visible_friend_ids=json.loads(visible_friend_ids),
+                liked_page_ids=json.loads(liked_page_ids),
+                declared_like_count=declared_like_count,
+                campaign_ids=campaign_ids,
+                terminated=bool(terminated),
+                crawl_status=crawl_status,
+                failed_fields=json.loads(failed_fields),
+            )
 
     def iter_baseline(self) -> Iterator[BaselineRecord]:
         """Baseline records in sample order, streamed."""
@@ -543,15 +549,15 @@ class HoneypotStore:
         )
         for row in cursor.fetchall():
             self._read("campaigns", 1)
-            out = asdict(self._campaign_record(row))
+            out = record_row(self._campaign_record(row))
             out["type"] = "campaign"
             yield out
         for liker in self.iter_likers():
-            out = asdict(liker)
+            out = record_row(liker)
             out["type"] = "liker"
             yield out
         for record in self.iter_baseline():
-            out = asdict(record)
+            out = record_row(record)
             out["type"] = "baseline"
             yield out
 

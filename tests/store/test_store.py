@@ -104,6 +104,14 @@ class TestIngest:
                 small_dataset.campaigns
             )
 
+    def test_export_reads_every_row_once(self, tmp_path, small_dataset):
+        with HoneypotStore.create(tmp_path / "export.sqlite") as store:
+            store.ingest_dataset(small_dataset)
+            store.to_jsonl(tmp_path / "export.jsonl")
+            assert store.rows_read == {
+                table: n for table, n in store.counts().items() if n
+            }
+
     def test_unknown_row_type_refuses(self, tmp_path):
         with HoneypotStore.create(tmp_path / "bad.sqlite") as store:
             with pytest.raises(StoreError, match="unknown ingest row type"):

@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.economics import campaign_economics
+from repro.analysis.report import full_report
 from repro.ckpt.manager import CheckpointConfig
 from repro.honeypot.study import HoneypotStudy, StudyConfig
 from repro.store import HoneypotStore, StoreError
@@ -54,6 +56,26 @@ class TestJournalIngest:
                 liker.user_id: liker for liker in store.iter_likers()
             } == dataset.likers
             assert list(store.iter_baseline()) == dataset.baseline
+
+    def test_unknown_cost_survives_into_the_full_report(
+        self, tmp_path, checkpointed_run
+    ):
+        # The WAL records no campaign cost: the store keeps it as None,
+        # and the report renders it as unknown instead of crashing.
+        config, _, journal = checkpointed_run
+        with HoneypotStore.create(tmp_path / "wal.sqlite") as store:
+            ingest_journal(store, journal, config=config)
+            replayed = store.to_dataset()
+        assert all(
+            record.total_cost is None for record in replayed.campaigns.values()
+        )
+        for econ in campaign_economics(replayed):
+            assert econ.cost_per_like is None
+            assert econ.cost_per_retained_like is None
+        report = full_report(replayed)
+        table = report[report.index("Campaign economics"):].splitlines()
+        rows = [line.split("|") for line in table if line.startswith("FB-")]
+        assert rows and all(row[1].strip() == "-" for row in rows)
 
     def test_missing_journal_is_empty_ingest(self, tmp_path):
         with HoneypotStore.create(tmp_path / "empty.sqlite") as store:
