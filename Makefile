@@ -24,7 +24,7 @@ lint:
 		--select DET001,DET002,DET004 --baseline lint-baseline-tests.json
 
 # Whole-program analysis (--xmod): cross-module RNG lineage, checkpoint
-# coverage/symmetry, the package layering DAG, and SQL-vs-schema checks,
+# coverage, the package layering DAG, and SQL-vs-schema checks,
 # with the per-module rules riding along.  The facts cache makes warm
 # reruns cheap; it is content-hashed, so edits invalidate per file.
 xmodlint:

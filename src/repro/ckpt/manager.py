@@ -13,8 +13,9 @@ their manifest — and exposes exactly two behaviours:
   deserialised); the manager *verifies* that replay against the crashed
   run: every journal record re-produced must equal the salvaged one, and
   at every barrier the crashed run also reached, the freshly computed
-  state must equal the stored snapshot bit-for-bit, after which the
-  stored state is loaded back into the live components as the authority.
+  state must equal the stored snapshot bit-for-bit.  Nothing is loaded
+  back: the equality already proves the live components hold the stored
+  state, so the snapshot is a fingerprint, not a source.
   Any divergence — different config, different seed, nondeterministic
   code, a corrupt file — refuses with a
   :class:`~repro.ckpt.errors.CheckpointError` instead of silently forking
@@ -209,13 +210,12 @@ class CheckpointManager:
         step = max(1, int(round(self.every_days * DAY)))
         return list(range(start + step, end, step))
 
-    def at_barrier(self, phase: str, sim_time: int, state: Dict) -> Optional[Dict]:
+    def at_barrier(self, phase: str, sim_time: int, state: Dict) -> None:
         """Reach one barrier: verify against the crashed run, or persist.
 
-        Returns the stored state when this barrier was validated against a
-        snapshot from the crashed run (the caller then loads it into the
-        live components as the authority), or None when the snapshot was
-        freshly written.
+        When the crashed run reached this barrier too, ``state`` must equal
+        its stored snapshot exactly (else :class:`CheckpointError`); when it
+        did not, ``state`` is written as a fresh snapshot.
         """
         key = barrier_key(phase, sim_time)
         self.journal.append(
@@ -240,9 +240,8 @@ class CheckpointManager:
             self.metrics.trace_event(
                 "checkpoint_validated", time=int(sim_time), barrier=key
             )
-            return stored["state"]
+            return
         self._persist(phase, sim_time, state)
-        return None
 
     def interrupt(self, state: Optional[Dict], sim_time: int) -> None:
         """Best-effort final snapshot on operator interrupt (Ctrl-C).

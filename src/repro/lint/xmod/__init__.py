@@ -8,8 +8,8 @@ and interprocedural RNG summaries — and runs the project rules over it:
 
 * ``XDET001-003`` (:mod:`.rngflow`) — RngStream lineage across calls,
   returns, and attributes,
-* ``CKPT001/002`` (:mod:`.ckptcov`) — checkpoint coverage and
-  ``state_dict``/``load_state_dict`` symmetry,
+* ``CKPT001/002`` (:mod:`.ckptcov`) — checkpoint coverage: barrier
+  state reported through ``state_dict``,
 * ``ARCH001`` (:mod:`.arch`) — package layering DAG and import cycles,
 * ``SQL001`` (:mod:`.sqlschema`) — SQL literals vs the declared schema.
 

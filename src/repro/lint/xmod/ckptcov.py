@@ -1,24 +1,23 @@
 """CKPT001/CKPT002 — checkpoint coverage of resumable state.
 
-The crash-resume contract (PR 5/7) is that a study SIGKILLed at any
-point resumes byte-identical from its last phase snapshot.  That only
-holds if every object whose state survives a phase barrier round-trips
-through ``state_dict``/``load_state_dict`` — a single mutable attribute
-missing from the pair silently diverges the resumed run.
+The crash-resume contract is that a study SIGKILLed at any point resumes
+byte-identical by deterministic replay from its seed, with every phase
+barrier the crashed run reached compared against its stored snapshot.
+That comparison only catches a divergence if every object whose state
+survives a barrier reports that state through ``state_dict`` — a single
+mutable attribute missing from it is a blind spot where the replay can
+fork without any barrier noticing.
 
 * **CKPT001** — a class holding mutable instance state that is
   reachable from the ``HoneypotStudy`` phase barriers (a field of the
-  ``_StudyComponents`` wiring dataclass) defines no
-  ``state_dict``/``load_state_dict`` pair at all — or defines only one
-  half of it.  Classes whose state is deliberately reconstructed by
-  deterministic replay (the world, the dataset journal) carry a
-  justified inline suppression at the class definition.
-* **CKPT002** — the pair is asymmetric: a key written by ``state_dict``
-  is never read back by ``load_state_dict`` (reading includes
-  ``require(state["k"] == ...)`` verification), or a mutable attribute
-  is neither covered by a state key (matching the attribute name modulo
-  a leading underscore), nor rebuilt inside ``load_state_dict``, nor
-  exempted with a justified suppression at its first assignment.
+  ``_StudyComponents`` wiring dataclass) defines no ``state_dict``.
+  Classes whose state is proven by other means (the world, rebuilt from
+  the seed; the dataset, journaled write-ahead) carry a justified inline
+  suppression at the class definition.
+* **CKPT002** — a class defining ``state_dict`` has a mutable attribute
+  that no state key covers (matching the attribute name modulo a leading
+  underscore) and that carries no justified suppression at its first
+  assignment.
 
 The analyzer reads ``state_dict`` keys from the returned dict literal
 (plus subscript stores on the returned name) — building the state dict
@@ -90,120 +89,68 @@ def _mutable_attrs(cls: ClassFact) -> List[Tuple[str, int]]:
 
 
 @register_project
-class CheckpointPairRule(ProjectRule):
-    """CKPT001: barrier-reachable mutable state without a full pair."""
+class CheckpointStateRule(ProjectRule):
+    """CKPT001: barrier-reachable mutable state without a state_dict."""
 
     code = "CKPT001"
-    name = "checkpoint-pair"
+    name = "checkpoint-state"
     severity = Severity.ERROR
     description = (
         "mutable class reachable from the HoneypotStudy phase barriers "
-        "has no (or only half a) state_dict/load_state_dict pair"
+        "defines no state_dict"
     )
 
     def check_project(self, project) -> Iterator[Finding]:
-        reachable = _barrier_reachable(project)
-        seen: Set[Tuple[str, str]] = set()
-
-        for module_name in sorted(project.modules):
-            facts = project.modules[module_name]
-            for cls in facts.classes:
-                key = (module_name, cls.name)
-                if cls.has_state_dict != cls.has_load_state_dict:
-                    present = (
-                        "state_dict"
-                        if cls.has_state_dict
-                        else "load_state_dict"
-                    )
-                    missing = (
-                        "load_state_dict"
-                        if cls.has_state_dict
-                        else "state_dict"
-                    )
-                    seen.add(key)
-                    yield self.finding(
-                        project,
-                        facts.path,
-                        cls.line,
-                        f"class {cls.name} defines {present} but not "
-                        f"{missing}; a checkpoint pair must be symmetric",
-                    )
-
-        for module_name, cls in reachable:
-            facts = project.modules[module_name]
-            key = (module_name, cls.name)
-            if key in seen:
-                continue
-            if cls.has_state_dict and cls.has_load_state_dict:
-                continue
-            if not _has_mutable_state(cls):
+        for module_name, cls in _barrier_reachable(project):
+            if cls.has_state_dict or not _has_mutable_state(cls):
                 continue
             mutable = ", ".join(name for name, _ in _mutable_attrs(cls)) or (
                 "dataclass container fields"
             )
             yield self.finding(
                 project,
-                facts.path,
+                project.modules[module_name].path,
                 cls.line,
                 f"class {cls.name} holds mutable state ({mutable}) "
                 "reachable from the HoneypotStudy phase barriers but "
-                "defines no state_dict/load_state_dict pair; add one, or "
-                "suppress here with the replay/journal justification",
+                "defines no state_dict; add one, or suppress here with the "
+                "replay/journal justification",
             )
 
 
 @register_project
-class CheckpointSymmetryRule(ProjectRule):
-    """CKPT002: state_dict/load_state_dict pairs must be symmetric."""
+class CheckpointCoverageRule(ProjectRule):
+    """CKPT002: every mutable attribute is covered by a state_dict key."""
 
     code = "CKPT002"
-    name = "checkpoint-symmetry"
+    name = "checkpoint-coverage"
     severity = Severity.ERROR
     description = (
-        "state_dict writes a key load_state_dict never reads, or a "
-        "mutable attribute is neither keyed, rebuilt on load, nor "
-        "exempted"
+        "a class defining state_dict has a mutable attribute no state key "
+        "covers"
     )
 
     def check_project(self, project) -> Iterator[Finding]:
         for module_name in sorted(project.modules):
             facts = project.modules[module_name]
             for cls in facts.classes:
-                if not (cls.has_state_dict and cls.has_load_state_dict):
-                    continue
-                yield from self._check_pair(project, facts, cls)
+                if cls.has_state_dict:
+                    yield from self._check_coverage(project, facts, cls)
 
-    def _check_pair(
+    def _check_coverage(
         self, project, facts: ModuleFacts, cls: ClassFact
     ) -> Iterator[Finding]:
         written = {key for key, _ in cls.state_keys}
-        read = set(cls.load_keys)
-        for key, line in sorted(set(cls.state_keys)):
-            if key not in read:
-                yield self.finding(
-                    project,
-                    facts.path,
-                    line,
-                    f"{cls.name}.state_dict writes key '{key}' that "
-                    "load_state_dict never reads; restore it, verify it "
-                    "(require(state[...] == ...)), or drop it from the "
-                    "snapshot",
-                )
-        load_assigned = set(cls.load_assigned)
         for attr, line in _mutable_attrs(cls):
-            normalized = attr.lstrip("_")
-            if attr in written or normalized in written:
+            if attr in written or attr.lstrip("_") in written:
                 continue
-            if attr in load_assigned:
-                continue  # rebuilt inside load_state_dict
             yield self.finding(
                 project,
                 facts.path,
                 line,
                 f"mutable attribute {cls.name}.{attr} is not covered by "
-                "any state_dict key and is not rebuilt in "
-                "load_state_dict; cover it or suppress here with why it "
-                "is safe to lose",
+                "any state_dict key; cover it or suppress here with why "
+                "barrier equality holds without it",
             )
 
 

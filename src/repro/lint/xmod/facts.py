@@ -6,8 +6,8 @@ JSON-serialisable summary of everything the cross-module rules need:
 * imports (with line, imported names, and whether the import is deferred
   inside a function body) — the ARCH001 layering edges,
 * classes (instance attributes classified by mutability, dataclass
-  fields, and the key sets written/read by ``state_dict`` /
-  ``load_state_dict``) — the CKPT001/002 checkpoint-coverage inputs,
+  fields, and the key set written by ``state_dict``) — the CKPT001/002
+  checkpoint-coverage inputs,
 * functions (a line-ordered stream of :class:`RngEvent` records tracking
   every ``RngStream`` construction, fork, draw, store, and call-argument
   handoff) — the XDET lineage inputs,
@@ -31,7 +31,7 @@ from repro.lint.det import ImportTable
 
 #: Bump when the fact schema changes: cached entries with a different
 #: version are discarded (a schema change must invalidate every cache).
-FACTS_VERSION = 2
+FACTS_VERSION = 3
 
 #: RngStream methods that consume generator entropy (plus the raw
 #: ``generator`` escape hatch).  ``child`` is deliberately absent: forks
@@ -95,7 +95,7 @@ class AttrFact:
 
     ``kind`` is ``"container"`` (initialised to a mutable container in
     ``__init__``), ``"evolving"`` (reassigned or augmented outside
-    ``__init__``/``load_state_dict``), or ``"wiring"`` (bound once in
+    ``__init__``), or ``"wiring"`` (bound once in
     ``__init__`` to something passed in — collaborator references, not
     state this class owns).
     """
@@ -119,20 +119,12 @@ class ClassFact:
     fields: Tuple[Tuple[str, str, str], ...]
     #: keys the top-level returned dict of ``state_dict`` writes
     state_keys: Tuple[Tuple[str, int], ...]
-    #: keys ``load_state_dict`` reads off its state parameter
-    load_keys: Tuple[str, ...]
-    #: ``self.X`` names assigned inside ``load_state_dict``
-    load_assigned: Tuple[str, ...]
     #: attrs bound in ``__init__`` directly from an RngStream value
     stream_attrs: Tuple[str, ...]
 
     @property
     def has_state_dict(self) -> bool:
         return "state_dict" in self.methods
-
-    @property
-    def has_load_state_dict(self) -> bool:
-        return "load_state_dict" in self.methods
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,8 +255,6 @@ def _class_to_list(c: ClassFact) -> list:
         [[a.name, a.line, a.kind] for a in c.attrs],
         [list(row) for row in c.fields],
         [list(row) for row in c.state_keys],
-        list(c.load_keys),
-        list(c.load_assigned),
         list(c.stream_attrs),
     ]
 
@@ -279,9 +269,7 @@ def _class_from_list(row: list) -> ClassFact:
         attrs=tuple(AttrFact(*a) for a in row[5]),
         fields=tuple(tuple(f) for f in row[6]),
         state_keys=tuple((k, line) for k, line in row[7]),
-        load_keys=tuple(row[8]),
-        load_assigned=tuple(row[9]),
-        stream_attrs=tuple(row[10]),
+        stream_attrs=tuple(row[8]),
     )
 
 
@@ -543,8 +531,6 @@ class _Extractor:
                 attrs=collector.classify(),
                 fields=tuple(fields),
                 state_keys=tuple(collector.state_keys),
-                load_keys=tuple(sorted(set(collector.load_keys))),
-                load_assigned=tuple(sorted(set(collector.load_assigned))),
                 stream_attrs=tuple(sorted(stream_attrs)),
             )
         )
@@ -620,8 +606,6 @@ class _ClassCollector:
         #: attr -> list of (method, container_value, augmented, line)
         self.writes: Dict[str, List[Tuple[str, bool, bool, int]]] = {}
         self.state_keys: List[Tuple[str, int]] = []
-        self.load_keys: List[str] = []
-        self.load_assigned: List[str] = []
 
     def record_write(
         self, method: str, attr: str, container: bool, augmented: bool, line: int
@@ -636,7 +620,7 @@ class _ClassCollector:
             writes = self.writes[attr]
             line = min(w[3] for w in writes)
             init_only = all(
-                method in ("__init__", "__post_init__", "load_state_dict")
+                method in ("__init__", "__post_init__")
                 for method, _, _, _ in writes
             )
             augmented = any(aug for _, _, aug, _ in writes)
@@ -695,11 +679,8 @@ class _FunctionAnalysis:
         for name, key in outer_streams.items():
             if name not in self.streams and name not in self.params:
                 self.streams[name] = f"free:{name}"
-        # state_dict / load_state_dict bookkeeping
+        # state_dict bookkeeping
         self.method_name = class_ctx.method_name if class_ctx else ""
-        self.state_param = ""
-        if self.method_name == "load_state_dict" and self.params:
-            self.state_param = self.params[0]
         self.returned_names: Set[str] = set()
         if self.method_name == "state_dict":
             for sub in ast.walk(node):
@@ -845,10 +826,6 @@ class _FunctionAnalysis:
                             False,
                             target.lineno,
                         )
-                        if self.method_name == "load_state_dict":
-                            self.class_ctx.collector.load_assigned.append(
-                                target.attr
-                            )
                     if key is not None:
                         self.events.append(
                             RngEvent(
@@ -921,39 +898,6 @@ class _FunctionAnalysis:
         if isinstance(node, ast.Call):
             return self._call(node)
 
-        if isinstance(node, ast.Subscript):
-            if (
-                self.state_param
-                and isinstance(node.value, ast.Name)
-                and node.value.id == self.state_param
-                and isinstance(node.slice, ast.Constant)
-                and isinstance(node.slice.value, str)
-                and self.class_ctx
-            ):
-                self.class_ctx.collector.load_keys.append(node.slice.value)
-            self._scan(node.value)
-            self._scan(node.slice)
-            return None
-
-        if isinstance(node, ast.Compare):
-            # membership reads: `"rng" in state` inside load_state_dict
-            if (
-                self.state_param
-                and self.class_ctx
-                and isinstance(node.left, ast.Constant)
-                and isinstance(node.left.value, str)
-                and any(isinstance(op, ast.In) for op in node.ops)
-                and any(
-                    isinstance(cmp, ast.Name) and cmp.id == self.state_param
-                    for cmp in node.comparators
-                )
-            ):
-                self.class_ctx.collector.load_keys.append(node.left.value)
-            self._scan(node.left)
-            for cmp in node.comparators:
-                self._scan(cmp)
-            return None
-
         if isinstance(node, ast.Attribute):
             base = self._stream_key(node.value)
             if base is not None:
@@ -1012,18 +956,6 @@ class _FunctionAnalysis:
                 if func.attr in DRAW_METHODS:
                     self._event("draw", base, node.lineno, label=func.attr)
                 return None
-            # state-key reads off the load_state_dict parameter
-            if (
-                self.state_param
-                and func.attr in ("get", "pop")
-                and isinstance(func.value, ast.Name)
-                and func.value.id == self.state_param
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-                and self.class_ctx
-            ):
-                self.class_ctx.collector.load_keys.append(node.args[0].value)
 
         # RngStream(...) root construction
         if _is_stream_call(node, self.x.table):

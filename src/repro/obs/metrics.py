@@ -204,11 +204,6 @@ class MetricsRegistry:
             "gauges": self.gauges_snapshot(),
         }
 
-    def load_state_dict(self, state: Dict[str, Dict]) -> None:
-        """Replace counters/gauges with a state from :meth:`state_dict`."""
-        self._counters = dict(state["counters"])
-        self._gauges = dict(state["gauges"])
-
 
 class NullMetricsRegistry(MetricsRegistry):
     """The disabled registry: every operation is a no-op.
@@ -239,11 +234,7 @@ class NullMetricsRegistry(MetricsRegistry):
         return None
 
     def state_dict(self) -> Dict[str, Dict]:
-        # repro-lint: allow-CKPT002 the null registry has no state; the keys exist only so it snapshots shape-compatibly with MetricsRegistry, and load discards by design
         return {"counters": {}, "gauges": {}}
-
-    def load_state_dict(self, state: Dict[str, Dict]) -> None:
-        return None
 
 
 #: The shared disabled registry — the default everywhere observability is off.

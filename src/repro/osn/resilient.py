@@ -156,22 +156,6 @@ class CircuitBreaker:
             "swallowed": self._swallowed,
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a state captured by :meth:`state_dict`.
-
-        A resumed crawl must continue exactly where the crashed one stood:
-        an open breaker stays open mid-cooldown, a half-open breaker keeps
-        its pending probe, and a closed breaker must *not* re-open early
-        because its failure streak was forgotten.
-        """
-        require(
-            state["state"] in (self.CLOSED, self.OPEN, self.HALF_OPEN),
-            f"unknown breaker state {state['state']!r}",
-        )
-        self.state = state["state"]
-        self._consecutive_failures = int(state["consecutive_failures"])
-        self._swallowed = int(state["swallowed"])
-
 
 class ResilientAPI:
     """Read endpoints with retry, backoff, and circuit breaking.
@@ -220,14 +204,6 @@ class ResilientAPI:
         if self._rng is not None:
             state["rng"] = self._rng.state_dict()
         return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore breakers (created as needed) and the jitter stream."""
-        self._breakers = {}
-        for endpoint in sorted(state["breakers"]):
-            self.breaker(endpoint).load_state_dict(state["breakers"][endpoint])
-        if self._rng is not None and "rng" in state:
-            self._rng.load_state_dict(state["rng"])
 
     # -- retry engine -------------------------------------------------------------
 

@@ -48,13 +48,5 @@ class SimClock:
         """The clock's state (its current minute) as plain types."""
         return {"now": self._now}
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a state captured by :meth:`state_dict`.
-
-        Restoration still honours monotonicity: a clock can only be
-        restored to its own time or a later one, never rewound.
-        """
-        self.advance_to(int(state["now"]))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock({format_time(self._now)})"

@@ -144,29 +144,6 @@ class EventEngine:
             "queue": self.queue_signature(),
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore counters/clock from a state captured by :meth:`state_dict`.
-
-        Pending callbacks cannot be reconstructed from a snapshot, so the
-        engine refuses to load a state whose queue signature differs from
-        its own: the caller must first rebuild the schedule (by replaying
-        the deterministic run that produced it), after which loading makes
-        the stored counters authoritative.
-        """
-        require(
-            state["queue"] == self.queue_signature(),
-            "engine queue signature mismatch: the snapshot's pending events "
-            "do not match this engine's (replay diverged or state is stale)",
-        )
-        require(
-            state["sequence"] == self._sequence,
-            f"engine sequence mismatch: snapshot has {state['sequence']}, "
-            f"engine has {self._sequence}",
-        )
-        self.clock.load_state_dict(state["clock"])
-        self._fired = int(state["fired"])
-        self._skipped_cancelled = int(state["skipped_cancelled"])
-
     def _flush_metrics(self, started: float) -> None:
         """Batch-publish loop totals once per run, not once per event.
 

@@ -78,6 +78,14 @@ def ingest_journal(
         campaign_ids += [c for c in observations if c not in specs]
     else:
         campaign_ids = list(observations)
+    # Liker records are journaled at crawl time, before the termination
+    # recheck flips their flag; apply the termination records the same way
+    # the study does after the fact.
+    terminated_ids = {
+        user_id
+        for record in terminations.values()
+        for user_id in record.get("terminated_liker_ids", [])
+    }
 
     def rows() -> Iterator[Dict]:
         for campaign_id in campaign_ids:
@@ -109,26 +117,13 @@ def ingest_journal(
                 "total_cost": None,
             }
         for row in likers:
+            if row["user_id"] in terminated_ids:
+                row["terminated"] = True
             yield row
         for row in baseline:
             yield row
 
     ingested = store.ingest_rows(rows())
-    # Liker records are journaled at crawl time, before the termination
-    # recheck flips their flag; apply the termination records the same way
-    # the study does after the fact.
-    terminated_ids = sorted({
-        user_id
-        for record in terminations.values()
-        for user_id in record.get("terminated_liker_ids", [])
-    })
-    if terminated_ids:
-        store._db.executemany(
-            "UPDATE likers SET terminated = 1 WHERE user_id = ?",
-            [(user_id,) for user_id in terminated_ids],
-        )
-        store._db.commit()
-        store.update_rowcounts()
     return {
         "records": recovery.salvaged,
         "rows": ingested,

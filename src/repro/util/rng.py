@@ -85,28 +85,14 @@ class RngStream:
         """The stream's full state as JSON-serialisable plain types.
 
         Captures the seed/label identity and the underlying bit generator's
-        state, so a stream restored via :meth:`load_state_dict` continues
-        the exact draw sequence of the captured stream.
+        state, so two streams compare equal exactly when they will continue
+        with the same draw sequence.
         """
         return {
             "seed": self.seed,
             "label": self.label,
             "generator": _plain(self._generator.bit_generator.state),
         }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a state captured by :meth:`state_dict`.
-
-        The stored identity must match this stream's: restoring state into
-        a differently-seeded or differently-labelled stream is always a
-        wiring bug, so it fails loudly instead of silently desynchronising.
-        """
-        require(
-            state.get("seed") == self.seed and state.get("label") == self.label,
-            f"rng state is for ({state.get('seed')}, {state.get('label')!r}), "
-            f"not ({self.seed}, {self.label!r})",
-        )
-        self._generator.bit_generator.state = state["generator"]
 
     # -- convenience draw helpers -------------------------------------------------
 

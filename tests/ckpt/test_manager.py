@@ -31,9 +31,9 @@ class TestFreshRun:
 
     def test_barriers_persist_snapshots(self, tmp_path):
         manager = _open(tmp_path / "ck")
-        assert manager.at_barrier("build", 0, STATE_A) is None
+        manager.at_barrier("build", 0, STATE_A)
         manager.journal.append({"type": "liker", "user_id": 1})
-        assert manager.at_barrier("simulate", 1440, STATE_B) is None
+        manager.at_barrier("simulate", 1440, STATE_B)
         stats = manager.stats()
         manager.close()
         assert stats["snapshots_written"] == 2
@@ -66,16 +66,18 @@ class TestResume:
         manager.close()  # a SIGKILL is harsher, but the files are the same
         return tmp_path / "ck"
 
-    def test_replay_validates_barriers_and_returns_stored_state(self, tmp_path):
+    def test_replay_validates_barriers(self, tmp_path):
         directory = self._crashed_run(tmp_path)
         manager = _open(directory, resume=True)
         assert manager.resumed is True
         assert manager.every_days == 1.0  # manifest cadence is authoritative
-        assert manager.at_barrier("build", 0, STATE_A) == STATE_A
+        manager.at_barrier("build", 0, STATE_A)
+        assert manager.barriers_validated == 1
         manager.journal.append({"type": "liker", "user_id": 1})
-        assert manager.at_barrier("simulate", 1440, STATE_B) == STATE_B
+        manager.at_barrier("simulate", 1440, STATE_B)
+        assert manager.barriers_validated == 2
         # past the last stored barrier: fresh mode again
-        assert manager.at_barrier("collect", 2000, STATE_B) is None
+        manager.at_barrier("collect", 2000, STATE_B)
         stats = manager.stats()
         manager.close()
         assert stats["barriers_validated"] == 2
@@ -109,7 +111,9 @@ class TestResume:
     def test_resume_empty_directory_degrades_to_fresh(self, tmp_path):
         manager = _open(tmp_path / "never-used", resume=True)
         assert manager.resumed is False
-        assert manager.at_barrier("build", 0, STATE_A) is None
+        manager.at_barrier("build", 0, STATE_A)
+        assert manager.barriers_validated == 0
+        assert manager.snapshots_written == 1
         manager.close()
 
 
@@ -121,8 +125,10 @@ class TestInterrupt:
         manager.close()
         resumed = _open(tmp_path / "ck", resume=True)
         # the mid-phase interrupt snapshot exists but no barrier matches it
-        assert resumed.at_barrier("build", 0, STATE_A) == STATE_A
-        assert resumed.at_barrier("simulate", 777, STATE_B) is None
+        resumed.at_barrier("build", 0, STATE_A)
+        resumed.at_barrier("simulate", 777, STATE_B)
+        assert resumed.barriers_validated == 1
+        assert resumed.snapshots_written == 1
         resumed.close()
 
     def test_interrupt_without_state_is_a_noop(self, tmp_path):

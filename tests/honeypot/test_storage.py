@@ -214,23 +214,6 @@ class TestDurability:
         # directory entry — rename alone does not order against the cache
         assert FSYNC_COUNTS.get("dataset", 0) == before + 2
 
-    def test_salvage_drops_a_torn_final_record(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.trace import EventTrace
-
-        path = tmp_path / "out.jsonl"
-        dataset = make_dataset()
-        dataset.to_jsonl(path)
-        with path.open("a") as handle:
-            handle.write('{"kind": "liker", "user_id')  # the kill landed here
-        metrics = MetricsRegistry(trace=EventTrace())
-        salvaged = HoneypotDataset.from_jsonl(path, salvage=True, metrics=metrics)
-        assert set(salvaged.likers) == set(dataset.likers)
-        assert salvaged.campaigns.keys() == dataset.campaigns.keys()
-        events = [e for e in metrics.trace.events if e.kind == "jsonl_salvage"]
-        assert len(events) == 1
-        assert events[0].fields["line"] > 1
-
     def test_torn_final_record_refuses_without_salvage(self, tmp_path):
         path = tmp_path / "out.jsonl"
         make_dataset().to_jsonl(path)
@@ -238,27 +221,3 @@ class TestDurability:
             handle.write('{"kind": "liker"')
         with pytest.raises(ValueError):
             HoneypotDataset.from_jsonl(path)
-
-    def test_salvage_does_not_mask_midfile_corruption(self, tmp_path):
-        path = tmp_path / "out.jsonl"
-        make_dataset().to_jsonl(path)
-        lines = path.read_text().splitlines()
-        lines[0] = lines[0][:-5]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
-            HoneypotDataset.from_jsonl(path, salvage=True)
-
-    def test_salvage_refuses_a_torn_interior_line(self, tmp_path):
-        # Only a torn *final* line is the crash-mid-append signature; a
-        # torn line followed by intact records means real corruption and
-        # must refuse even under salvage, naming the damaged line.
-        path = tmp_path / "out.jsonl"
-        make_dataset().to_jsonl(path)
-        lines = path.read_text().splitlines()
-        torn_at = len(lines) - 1  # second-to-last record, 1-indexed
-        lines[torn_at - 1] = lines[torn_at - 1][:20]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(
-            ValueError, match=rf"out\.jsonl:{torn_at}: unparseable"
-        ):
-            HoneypotDataset.from_jsonl(path, salvage=True)

@@ -77,12 +77,12 @@ class TestCheckpointCoverage:
         assert "Tracker.count" in misses[0].message
         assert misses[0].path.endswith("repro/honeypot/tracker.py")
 
-    def test_half_a_checkpoint_pair_is_asymmetric(self):
+    def test_barrier_reachable_mutable_state_without_state_dict(self):
         result = xmod("bad_ckpt")
-        halves = [f for f in result.findings if f.code == "CKPT001"]
-        assert len(halves) == 1, rendered(result)
-        assert "HalfPair" in halves[0].message
-        assert "state_dict but not load_state_dict" in halves[0].message
+        missing = [f for f in result.findings if f.code == "CKPT001"]
+        assert len(missing) == 1, rendered(result)
+        assert "class Ledger holds mutable state (entries)" in missing[0].message
+        assert missing[0].path.endswith("repro/honeypot/tracker.py")
 
     def test_symmetric_fully_covered_pair_is_clean(self):
         result = xmod("good_ckpt")

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from repro.honeypot.tracker import Tracker
+from repro.honeypot.tracker import Ledger, Tracker
 
 
 @dataclass
@@ -10,3 +10,4 @@ class _StudyComponents:
     """What the fixture study carries across its phase barriers."""
 
     tracker: Tracker
+    ledger: Ledger

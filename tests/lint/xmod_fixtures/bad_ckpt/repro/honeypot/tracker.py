@@ -1,4 +1,5 @@
-"""Seeded regression: a state_dict that misses one mutable attribute."""
+"""Seeded regressions: a state_dict that misses one mutable attribute,
+and barrier-reachable mutable state with no state_dict at all."""
 
 from typing import List
 
@@ -16,18 +17,15 @@ class Tracker:
 
     def state_dict(self) -> dict:
         # BUG under test: ``count`` is mutated across barriers but never
-        # snapshotted, so a resume silently resets it.
+        # snapshotted, so a replay that forks it passes every barrier.
         return {"items": list(self.items)}
 
-    def load_state_dict(self, state: dict) -> None:
-        self.items = list(state["items"])
 
-
-class HalfPair:
-    """Defines only half the checkpoint contract."""
+class Ledger:
+    """Barrier-reachable mutable state that reports none of it."""
 
     def __init__(self) -> None:
-        self.values: List[int] = []
+        self.entries: List[int] = []
 
-    def state_dict(self) -> dict:
-        return {"values": list(self.values)}
+    def record(self, value: int) -> None:
+        self.entries.append(value)

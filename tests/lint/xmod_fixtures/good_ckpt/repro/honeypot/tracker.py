@@ -1,10 +1,10 @@
-"""Proven-safe counterpart: every mutable attribute round-trips."""
+"""Proven-safe counterpart: every mutable attribute is a state key."""
 
 from typing import List
 
 
 class Tracker:
-    """Mutable study-phase state with a complete, symmetric snapshot."""
+    """Mutable study-phase state with a complete snapshot."""
 
     def __init__(self) -> None:
         self.items: List[int] = []
@@ -17,6 +17,3 @@ class Tracker:
     def state_dict(self) -> dict:
         return {"items": list(self.items), "count": self.count}
 
-    def load_state_dict(self, state: dict) -> None:
-        self.items = list(state["items"])
-        self.count = int(state["count"])

@@ -215,74 +215,76 @@ class TestPassThroughOverRealAPI:
 
 
 class TestBreakerStateDict:
+    """A checkpoint barrier compares breaker states, so every position in
+    the state machine that changes what the next call does must show."""
+
+    @staticmethod
+    def _tripped(threshold, cooldown):
+        breaker = CircuitBreaker(threshold=threshold, cooldown=cooldown)
+        for _ in range(threshold):
+            breaker.record_failure()
+        assert breaker.state == CircuitBreaker.OPEN
+        return breaker
+
     def test_open_breaker_stays_open_mid_cooldown(self):
-        breaker = CircuitBreaker(threshold=2, cooldown=4)
-        breaker.record_failure()
-        breaker.record_failure()  # trips: open
+        breaker = self._tripped(threshold=2, cooldown=4)
+        fresh = self._tripped(threshold=2, cooldown=4)
         assert not breaker.allow()  # 1 of 4 swallowed
-        resumed = CircuitBreaker(threshold=2, cooldown=4)
-        resumed.load_state_dict(breaker.state_dict())
-        assert resumed.state == CircuitBreaker.OPEN
-        # cooldown continues from where the crashed run stood, not from 0
-        assert not resumed.allow()
-        assert not resumed.allow()
-        assert resumed.allow()  # 4th swallow flips to half-open
-        assert resumed.state == CircuitBreaker.HALF_OPEN
+        assert breaker.state == fresh.state == CircuitBreaker.OPEN
+        # same state name, different distance to the probe
+        assert breaker.state_dict() != fresh.state_dict()
+        assert not breaker.allow()
+        assert not breaker.allow()
+        assert breaker.allow()  # 4th swallow flips to half-open
+        assert breaker.state == CircuitBreaker.HALF_OPEN
 
     def test_half_open_breaker_keeps_its_probe(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=1)
-        breaker.record_failure()
+        breaker = self._tripped(threshold=1, cooldown=1)
+        fresh = self._tripped(threshold=1, cooldown=1)
         assert breaker.allow()  # open -> half-open probe
         assert breaker.state == CircuitBreaker.HALF_OPEN
-        resumed = CircuitBreaker(threshold=1, cooldown=1)
-        resumed.load_state_dict(breaker.state_dict())
-        assert resumed.state == CircuitBreaker.HALF_OPEN
-        assert resumed.record_failure()  # failed probe goes straight back open
-        assert resumed.state == CircuitBreaker.OPEN
+        assert breaker.state_dict() != fresh.state_dict()
+        assert breaker.record_failure()  # failed probe goes straight back open
+        assert breaker.state == CircuitBreaker.OPEN
 
     def test_closed_breaker_does_not_reopen_early(self):
         breaker = CircuitBreaker(threshold=3, cooldown=2)
+        fresh = CircuitBreaker(threshold=3, cooldown=2)
         breaker.record_failure()
         breaker.record_failure()  # streak of 2, still closed
-        resumed = CircuitBreaker(threshold=3, cooldown=2)
-        resumed.load_state_dict(breaker.state_dict())
-        assert resumed.state == CircuitBreaker.CLOSED
-        # the restored streak must be respected: one more failure trips it,
-        # but a success wipes it exactly as in the uninterrupted run
-        resumed.record_success()
-        assert not resumed.record_failure()
-        assert resumed.state == CircuitBreaker.CLOSED
-
-    def test_unknown_state_refuses(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=1)
-        with pytest.raises(ValidationError):
-            breaker.load_state_dict(
-                {"state": "melted", "consecutive_failures": 0, "swallowed": 0}
-            )
+        assert breaker.state == CircuitBreaker.CLOSED
+        assert breaker.state_dict() != fresh.state_dict()
+        # a success wipes the streak back to the fresh breaker's state
+        breaker.record_success()
+        assert breaker.state_dict() == fresh.state_dict()
+        assert not breaker.record_failure()
+        assert breaker.state == CircuitBreaker.CLOSED
 
 
 class TestResilientAPIStateDict:
-    def _api(self):
+    def _api(self, rng=None):
         network = SocialNetwork()
         inner = PlatformAPI(network, stats=RequestStats())
         return ResilientAPI(
             inner, RetryPolicy(breaker_threshold=2, breaker_cooldown=3),
-            RngStream(5, "backoff"),
+            rng if rng is not None else RngStream(5, "backoff"),
         )
 
-    def test_round_trip_restores_every_breaker_and_the_jitter_stream(self):
-        api = self._api()
+    def test_state_covers_every_breaker_and_the_jitter_stream(self):
+        jitter = RngStream(5, "backoff")
+        api = self._api(jitter)
         api.breaker("get_profile").record_failure()
         api.breaker("get_profile").record_failure()  # open
         api.breaker("get_page").record_failure()  # closed, streak 1
         state = api.state_dict()
-        resumed = self._api()
-        resumed.load_state_dict(state)
-        assert resumed.breaker("get_profile").state == CircuitBreaker.OPEN
-        assert resumed.breaker("get_page").state_dict() == (
+        assert sorted(state["breakers"]) == ["get_page", "get_profile"]
+        assert state["breakers"]["get_profile"]["state"] == CircuitBreaker.OPEN
+        assert state["breakers"]["get_page"] == (
             api.breaker("get_page").state_dict()
         )
-        assert resumed.state_dict() == state
+        jitter.uniform(-1.0, 1.0)  # one backoff jitter draw
+        assert api.state_dict()["breakers"] == state["breakers"]
+        assert api.state_dict()["rng"] != state["rng"]
 
     def test_state_is_json_pure(self):
         import json
