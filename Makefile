@@ -55,9 +55,10 @@ crashtest:
 
 # Store harness: the SQLite dataset backend — byte-identical export vs the
 # legacy JSONL path (plain and --chaos), SQL queries pinned equal to the
-# in-memory analyses, and the WAL-replay ingest path — plus the record_row
-# encoder every export path (journal, dataset JSONL, store) shares, pinned
-# to dataclasses.asdict.
+# in-memory analyses, and the WAL-replay ingest path, whose rebuilt store
+# exports the run's own JSONL bytes (CLI repair, plain and --chaos) — plus
+# the record_row encoder every export path (journal, dataset JSONL, store)
+# shares, pinned to dataclasses.asdict.
 storetest:
 	$(RUN_ENV) $(PYTHON) -m pytest tests/store/ tests/honeypot/test_row_encoding.py -v
 

@@ -23,7 +23,7 @@ class CampaignEconomics:
 
     campaign_id: str
     provider: str
-    total_cost: Optional[float]  # None: the dataset does not know the cost
+    total_cost: float
     likes: int
     removed_likes: int
     inactive: bool
@@ -35,16 +35,15 @@ class CampaignEconomics:
 
     @property
     def cost_per_like(self) -> Optional[float]:
-        """Dollars per delivered like (None when nothing was delivered or
-        the cost is unknown)."""
-        if self.likes == 0 or self.total_cost is None:
+        """Dollars per delivered like (None when nothing was delivered)."""
+        if self.likes == 0:
             return None
         return self.total_cost / self.likes
 
     @property
     def cost_per_retained_like(self) -> Optional[float]:
-        """Dollars per like that survived enforcement (None as above)."""
-        if self.retained_likes == 0 or self.total_cost is None:
+        """Dollars per like that survived enforcement."""
+        if self.retained_likes == 0:
             return None
         return self.total_cost / self.retained_likes
 
@@ -73,7 +72,7 @@ def render_economics(dataset: HoneypotDataset) -> str:
     for econ in campaign_economics(dataset):
         rows.append([
             econ.campaign_id,
-            "-" if econ.total_cost is None else f"${econ.total_cost:.2f}",
+            f"${econ.total_cost:.2f}",
             "-" if econ.inactive else econ.likes,
             econ.removed_likes,
             "-" if econ.cost_per_like is None else f"${econ.cost_per_like:.3f}",

@@ -3,11 +3,14 @@
 An append-only JSONL file inside the checkpoint directory.  Every durable
 fact the study produces — each :class:`~repro.honeypot.monitor.MonitorSnapshot`,
 each crawled :class:`~repro.honeypot.storage.LikerRecord` and
-:class:`~repro.honeypot.storage.BaselineRecord`, each termination event,
-and a marker at every phase boundary — is appended as one JSON line and
-fsync'd before the study proceeds.  A SIGKILL therefore loses at most the
-record in flight, and that record can only be *torn* (a partial final
-line), never silently corrupting earlier ones.
+:class:`~repro.honeypot.storage.BaselineRecord` row, the dataset's
+``meta`` row and every campaign row at the collect barrier, each
+termination event, and a marker at every phase boundary — is appended as
+one JSON line and fsync'd before the study proceeds.  The journal thus
+holds every dataset row (:mod:`repro.store.ingest` rebuilds a store from
+it).  A SIGKILL loses at most the record in flight, and that record can
+only be *torn* (a partial final line), never silently corrupting earlier
+ones.
 
 Recovery (:func:`read_journal`) tolerates exactly that failure mode: a
 final line that does not parse is dropped and reported; damage anywhere
@@ -32,8 +35,9 @@ from repro.ckpt.errors import CheckpointError
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.util.durable import atomic_write_text, fsync_handle
 
-#: Journal format identifier (bump on breaking layout changes).
-JOURNAL_SCHEMA = "repro.ckpt/journal@1"
+#: Journal format identifier (bump on breaking layout changes; ``@2``
+#: added the meta and campaign rows).
+JOURNAL_SCHEMA = "repro.ckpt/journal@2"
 
 
 @dataclass

@@ -90,9 +90,7 @@ class CampaignRecord:
     terminated_liker_ids: List[int] = field(default_factory=list)
     inactive: bool = False
     removed_like_count: int = 0  # likes purged by enforcement (Section 5 follow-up)
-    # Ad spend, or the farm package price (paid up front); None when unknown
-    # (a store replayed from a checkpoint journal has no cost record).
-    total_cost: Optional[float] = 0.0
+    total_cost: float = 0.0  # ad spend, or the farm package price (paid up front)
 
     @property
     def liker_ids(self) -> List[int]:
@@ -210,7 +208,7 @@ def record_row(record) -> Dict:
 
 
 @dataclass
-# repro-lint: allow-CKPT001 built in one shot by _collect() after the crawl barrier, never mutated across a barrier; its inputs (monitor snapshots) are journaled write-ahead
+# repro-lint: allow-CKPT001 built in one shot by _collect() after the crawl barrier and never mutated across a barrier; every row it holds is journaled (likers/baseline at crawl, meta/campaigns at the collect barrier)
 class HoneypotDataset:
     """The full study output: campaigns, likers, baseline, global stats."""
 

@@ -12,6 +12,7 @@ termination sweep a month later, and assemble the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, List, Optional
 
 from repro import failpoints
@@ -500,7 +501,8 @@ class HoneypotStudy:
     def _collect_phase(
         self, components: _StudyComponents, manager: Optional[CheckpointManager]
     ) -> None:
-        """Phase 3: crawl likers + baseline and assemble the dataset."""
+        """Phase 3: crawl likers + baseline, assemble the dataset, and
+        journal its meta and campaign rows."""
         with components.metrics.span("study.collect"):
             dataset = self._collect(components, manager)
         components.dataset = dataset
@@ -508,6 +510,12 @@ class HoneypotStudy:
             dataset.campaigns[campaign_id].total_cost = round(campaign.spend, 2)
         for campaign_id, order in components.orders.items():
             dataset.campaigns[campaign_id].total_cost = order.price
+        if manager is not None:
+            # Likers and baseline were journaled as they were crawled; the
+            # meta and campaign rows complete the journal's copy of every
+            # dataset row (the termination records amend them later).
+            for row in islice(dataset.iter_rows(), 1 + len(dataset.campaigns)):
+                manager.journal.append(row)
 
     def _sweep_phase(
         self, components: _StudyComponents, manager: Optional[CheckpointManager]

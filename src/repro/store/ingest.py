@@ -1,129 +1,83 @@
-"""Replay a checkpoint WAL into the store without a finished dataset.
+"""Rebuild a store from a checkpoint WAL: the journal is the dataset.
 
-Besides a finished in-memory dataset, a
-:class:`~repro.store.store.HoneypotStore` can be populated by
-:func:`ingest_journal`, which replays a checkpoint WAL
-(:mod:`repro.ckpt.journal`) into store tables.  The journal holds every
-durable fact of a (possibly still-running or crashed) study — monitor
-snapshots, crawled liker/baseline records, terminations — so the replay
-reconstructs observations, likers, baseline and terminations *exactly*.
-Campaign metadata that only exists in study state (page id, cost,
-precise monitored window) is filled from the
-:class:`~repro.honeypot.study.StudyConfig` when given and left at honest
-defaults otherwise; this is the warm/incremental inspection path, while
-dataset ingest is the byte-identical one.
-:func:`repair_from_journal` uses the same replay to rebuild a damaged
-store.
+The checkpoint journal (:mod:`repro.ckpt.journal`) holds every row of the
+dataset: each liker and baseline row as it is crawled, the ``meta`` row
+and every campaign row at the collect barrier, and one termination record
+per campaign after the month-later sweep.  :func:`ingest_journal` is a
+projection of it into a :class:`~repro.store.store.HoneypotStore`: it
+checks each record type against one allowlist, applies the termination
+records to the campaign and liker rows, and passes the rows to
+:meth:`~repro.store.store.HoneypotStore.ingest_rows` in export order.  A
+store rebuilt from a finished run's journal therefore exports the run's
+own JSONL bytes.  :func:`repair_from_journal` uses the same replay to
+rebuild a damaged store.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List
 
 from repro.ckpt.journal import read_journal
-from repro.honeypot.study import StudyConfig
 from repro.store.errors import StoreError
 from repro.store.store import HoneypotStore
-from repro.util.timeutil import DAY
 
-#: Journal record types the replay understands (others are corruption).
-_JOURNAL_TYPES = ("phase", "monitor-snapshot", "liker", "baseline", "termination")
+#: The dataset rows the journal holds, in export order.
+_ROW_TYPES = ("meta", "campaign", "liker", "baseline")
+#: Every journal record type the replay understands (others are corruption).
+_JOURNAL_TYPES = _ROW_TYPES + ("phase", "monitor-snapshot", "termination")
 
 
-def ingest_journal(
-    store: HoneypotStore,
-    journal_path: Path,
-    config: Optional[StudyConfig] = None,
-) -> Dict[str, int]:
+def ingest_journal(store: HoneypotStore, journal_path: Path) -> Dict[str, int]:
     """Replay a checkpoint WAL into the store.
 
     Returns ``{"records": <journal records consumed>, "rows": <store rows
     ingested>, "torn": 0|1}``.  A torn final journal line is salvage (the
     crash-mid-append signature, same contract as resume); an unknown
-    record type is a :class:`StoreError`.
+    record type, or a journal that ends before the collect barrier (it
+    holds no campaign rows), is a :class:`StoreError`.  A missing journal
+    is an empty ingest.
     """
     recovery = read_journal(Path(journal_path), metrics=store.metrics)
-    observations: Dict[str, List[Dict]] = {}
+    rows: Dict[str, List[Dict]] = {kind: [] for kind in _ROW_TYPES}
     terminations: Dict[str, Dict] = {}
-    likers: List[Dict] = []
-    baseline: List[Dict] = []
+    collected = False
     for record in recovery.records:
         kind = record.get("type")
-        if kind == "monitor-snapshot":
-            rows = observations.setdefault(record["campaign_id"], [])
-            for user_id in record["new_liker_ids"]:
-                rows.append({"observed_at": record["time"], "user_id": user_id})
-        elif kind == "liker":
-            likers.append({**record})
-        elif kind == "baseline":
-            baseline.append({**record})
-        elif kind == "termination":
-            terminations[record["campaign_id"]] = record
-        elif kind != "phase":
+        if kind not in _JOURNAL_TYPES:
             raise StoreError(
                 f"{journal_path}: unknown journal record type {kind!r}; "
                 "refusing to replay a journal this build does not understand"
             )
+        if kind in rows:
+            rows[kind].append(record)
+        elif kind == "termination":
+            terminations[record["campaign_id"]] = record
+        elif kind == "phase" and record["phase"] == "collect":
+            collected = True
+    if recovery.records and not collected:
+        raise StoreError(
+            f"{journal_path}: the journal ends before the collect barrier, "
+            "so it holds no campaign rows; resume the run before rebuilding "
+            "a store from it"
+        )
+    # Campaign and liker rows are journaled before the termination sweep;
+    # apply its records the way the study does after the fact.
+    terminated_ids = set()
+    for campaign in rows["campaign"]:
+        termination = terminations.get(campaign["campaign_id"])
+        if termination is not None:
+            campaign["terminated_liker_ids"] = termination["terminated_liker_ids"]
+            campaign["removed_like_count"] = termination["removed_like_count"]
+            terminated_ids.update(termination["terminated_liker_ids"])
+    for liker in rows["liker"]:
+        if liker["user_id"] in terminated_ids:
+            liker["terminated"] = True
 
-    specs = {
-        spec.campaign_id: spec for spec in config.active_specs()
-    } if config is not None else {}
-    # Campaign order: the study's spec order when the config is known,
-    # first-snapshot order otherwise (snapshot interleaving is poll order,
-    # so first appearance is the honest fallback).
-    if specs:
-        campaign_ids = [c for c in specs if c in observations]
-        campaign_ids += [c for c in observations if c not in specs]
-    else:
-        campaign_ids = list(observations)
-    # Liker records are journaled at crawl time, before the termination
-    # recheck flips their flag; apply the termination records the same way
-    # the study does after the fact.
-    terminated_ids = {
-        user_id
-        for record in terminations.values()
-        for user_id in record.get("terminated_liker_ids", [])
-    }
-
-    def rows() -> Iterator[Dict]:
-        for campaign_id in campaign_ids:
-            obs = observations.get(campaign_id, [])
-            termination = terminations.get(campaign_id, {})
-            spec = specs.get(campaign_id)
-            times = [row["observed_at"] for row in obs]
-            yield {
-                "type": "campaign",
-                "campaign_id": campaign_id,
-                "provider": spec.provider if spec else "unknown",
-                "kind": spec.kind if spec else "unknown",
-                "location_label": spec.location_label if spec else "unknown",
-                "budget_label": spec.budget_label if spec else "unknown",
-                "duration_days": spec.duration_days if spec else 0,
-                # The WAL has no monitor start time; the observed span is
-                # the honest lower bound on the monitored window.
-                "monitored_days": (
-                    (max(times) - min(times)) / DAY if times else 0.0
-                ),
-                "page_id": 0,
-                "total_likes": len(obs),
-                "observations": obs,
-                "terminated_liker_ids": list(
-                    termination.get("terminated_liker_ids", [])
-                ),
-                "inactive": not obs,
-                "removed_like_count": termination.get("removed_like_count", 0),
-                "total_cost": None,
-            }
-        for row in likers:
-            if row["user_id"] in terminated_ids:
-                row["terminated"] = True
-            yield row
-        for row in baseline:
-            yield row
-
-    ingested = store.ingest_rows(rows())
+    ingested = store.ingest_rows(
+        row for kind in _ROW_TYPES for row in rows[kind]
+    )
     return {
         "records": recovery.salvaged,
         "rows": ingested,
@@ -131,25 +85,28 @@ def ingest_journal(
     }
 
 
-def repair_from_journal(
-    path: Path,
-    journal_path: Path,
-    config: Optional[StudyConfig] = None,
-) -> Dict[str, int]:
+def repair_from_journal(path: Path, journal_path: Path) -> Dict[str, int]:
     """Rebuild a damaged store from a checkpoint WAL, atomically.
 
     The replacement is built as a ``<name>.repair`` sibling and renamed
     over ``path`` only once its own :meth:`HoneypotStore.verify` comes
     back clean — a crash mid-repair leaves the original (damaged) file
     untouched plus a ``.repair`` orphan that the next ``open()`` sweeps.
-    Returns the :func:`ingest_journal` summary.
+    A journal with no dataset rows (a mistyped path) is a
+    :class:`StoreError`, not an empty store.  Returns the
+    :func:`ingest_journal` summary.
     """
     path = Path(path)
     rebuild_path = path.with_name(path.name + ".repair")
     rebuild_path.unlink(missing_ok=True)
     rebuild = HoneypotStore.create(rebuild_path)
     try:
-        summary = ingest_journal(rebuild, Path(journal_path), config=config)
+        summary = ingest_journal(rebuild, Path(journal_path))
+        if not summary["rows"]:
+            raise StoreError(
+                f"{journal_path} holds no dataset rows; refusing to replace "
+                f"{path} with an empty store"
+            )
         problems = rebuild.verify()
         if problems:
             raise StoreError(

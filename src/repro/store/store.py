@@ -450,6 +450,12 @@ class HoneypotStore:
         (campaign_id, provider, kind, location_label, budget_label,
          duration_days, monitored_days, page_id, total_likes,
          inactive, removed_like_count, total_cost) = row
+        if total_cost is None:
+            raise StoreError(
+                f"{self.path}: campaign {campaign_id!r} has no total_cost; "
+                "the store was written by a pre-@2 journal replay; rebuild "
+                "it from the run's dataset or a journal@2 checkpoint"
+            )
         observations = self._db.execute(
             "SELECT observed_at, user_id FROM observations "
             "WHERE campaign_id = ? ORDER BY position",

@@ -132,6 +132,25 @@ class TestRecordAccessors:
         with pytest.raises(StoreError, match="no campaign"):
             store.campaign("NOPE-1")
 
+    def test_null_cost_from_an_old_journal_replay_refuses(
+        self, store, small_dataset, tmp_path
+    ):
+        # Stores rebuilt by the journal@1 replay hold NULL costs; reading
+        # one names the store instead of crashing the economics table.
+        campaign_id = small_dataset.campaign_ids()[0]
+        store._db.execute(
+            "UPDATE campaigns SET total_cost = NULL WHERE campaign_id = ?",
+            (campaign_id,),
+        )
+        store._db.commit()
+        with pytest.raises(StoreError, match="pre-@2 journal replay"):
+            store.campaign(campaign_id)
+        with pytest.raises(StoreError, match="pre-@2 journal replay"):
+            store.to_dataset()
+        with pytest.raises(StoreError, match="pre-@2 journal replay"):
+            store.to_jsonl(tmp_path / "old.jsonl")
+        assert not (tmp_path / "old.jsonl").exists()
+
     def test_likers_round_trip_exactly(self, store, small_dataset):
         assert {liker.user_id: liker for liker in store.iter_likers()} == (
             small_dataset.likers

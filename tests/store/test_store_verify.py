@@ -1,9 +1,11 @@
 """Store health checks and WAL-based repair (verify / repair_from_journal)."""
 
 import dataclasses
+import json
 
 import pytest
 
+from repro.ckpt.journal import JOURNAL_SCHEMA
 from repro.ckpt.manager import CheckpointConfig
 from repro.honeypot.study import HoneypotStudy, StudyConfig
 from repro.store import HoneypotStore, StoreError, repair_from_journal
@@ -15,13 +17,13 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 @pytest.fixture(scope="module")
 def checkpointed_run(tmp_path_factory):
-    """A checkpointed small run: (config, dataset, journal path)."""
+    """A checkpointed small run: (dataset, journal path)."""
     directory = tmp_path_factory.mktemp("wal")
     config = dataclasses.replace(
         StudyConfig.small(), checkpoint=CheckpointConfig(directory=directory)
     )
     artifacts = HoneypotStudy(config).run()
-    return config, artifacts.dataset, directory / "journal.jsonl"
+    return artifacts.dataset, directory / "journal.jsonl"
 
 
 class TestVerify:
@@ -86,10 +88,10 @@ class TestRepairFromJournal:
     def test_rebuilds_a_damaged_store_in_place(
         self, tmp_path, checkpointed_run
     ):
-        config, dataset, journal = checkpointed_run
+        dataset, journal = checkpointed_run
         path = tmp_path / "study.sqlite"
         path.write_bytes(b"not a database at all")  # the damaged original
-        summary = repair_from_journal(path, journal, config=config)
+        summary = repair_from_journal(path, journal)
         assert summary["rows"] > 0 and not summary["torn"]
         with HoneypotStore.open(path) as store:
             assert store.verify() == []
@@ -99,12 +101,12 @@ class TestRepairFromJournal:
     def test_repair_matches_a_direct_journal_ingest(
         self, tmp_path, checkpointed_run
     ):
-        config, _, journal = checkpointed_run
+        _, journal = checkpointed_run
         repaired = tmp_path / "repaired.sqlite"
         repaired.write_bytes(b"garbage")
-        repair_from_journal(repaired, journal, config=config)
+        repair_from_journal(repaired, journal)
         with HoneypotStore.create(tmp_path / "direct.sqlite") as direct:
-            ingest_journal(direct, journal, config=config)
+            ingest_journal(direct, journal)
             direct_counts = direct.counts()
             direct_rows = list(direct.iter_rows())
         with HoneypotStore.open(repaired) as store:
@@ -116,13 +118,27 @@ class TestRepairFromJournal:
         path.write_bytes(b"damaged original")
         bad_journal = tmp_path / "journal.jsonl"
         bad_journal.write_text(
-            '{"type": "journal-header", "schema": "repro.ckpt/journal@1", '
-            '"seed": 1, "config_hash": "x"}\n'
+            json.dumps({
+                "type": "journal-header", "schema": JOURNAL_SCHEMA,
+                "seed": 1, "config_hash": "x",
+            }) + "\n"
             '{"type": "mystery"}\n'
         )
         with pytest.raises(StoreError, match="unknown journal record"):
             repair_from_journal(path, bad_journal)
         assert path.read_bytes() == b"damaged original"
+        assert not path.with_name(path.name + ".repair").exists()
+
+    def test_a_journal_without_rows_leaves_the_original_untouched(
+        self, tmp_path
+    ):
+        # A mistyped --journal path must not swap a good store for an
+        # empty one.
+        path = tmp_path / "study.sqlite"
+        path.write_bytes(b"the original store")
+        with pytest.raises(StoreError, match="holds no dataset rows"):
+            repair_from_journal(path, tmp_path / "absent.jsonl")
+        assert path.read_bytes() == b"the original store"
         assert not path.with_name(path.name + ".repair").exists()
 
     def test_open_sweeps_a_stale_repair_orphan(self, tmp_path, small_dataset):
